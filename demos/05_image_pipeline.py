@@ -4,6 +4,7 @@ Otsu's threshold, sample foreground windows, augment, featurize.
 Run:  python demos/05_image_pipeline.py
 """
 
+import os
 import tempfile
 
 import numpy as np
@@ -27,10 +28,10 @@ rng = np.random.default_rng(5)
 slide = rng.integers(230, 256, size=(500, 500, 3), dtype=np.uint8)
 slide[80:420, 120:430] = rng.integers(40, 110, size=(340, 310, 3), dtype=np.uint8)
 
-with tempfile.NamedTemporaryFile(suffix=".ppm", delete=False) as fh:
-    path = fh.name
-write_pnm(path, slide)
-slide = read_pnm(path)  # round trip is bit-exact
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "slide.ppm")
+    write_pnm(path, slide)
+    slide = read_pnm(path)  # round trip is bit-exact
 
 gray = to_grayscale(slide)
 result = otsu_threshold(gray_histogram(gray))
@@ -46,5 +47,5 @@ print("augmented shapes:", {p.pixels.shape for p in final})
 print("one augmentation log:", final[0].ops_log)
 
 fparams = FeaturizerParams.initialize(hidden_dim=32, out_dim=16, seed=2)
-features = np.stack([featurize(p, fparams).data for p in final])
+features = np.stack([featurize(p, fparams) for p in final])
 print("bag features:", features.shape)

@@ -51,19 +51,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def backward(self):
-        backward(self)
-
-    # operator sugar; the module-level functions do the work
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _result(data, parents, backward_fn):
     out = Tensor(data)
@@ -189,15 +176,6 @@ def transpose(x: Tensor) -> Tensor:
     return _result(np.ascontiguousarray(x.data.T), (x,), backward_fn)
 
 
-def reshape(x: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-
-    def backward_fn(g):
-        x._accumulate(g.reshape(x.data.shape))
-
-    return _result(x.data.reshape(shape), (x,), backward_fn)
-
-
 def tile_cols(x: Tensor, n: int) -> Tensor:
     """Duplicate a column vector (M, 1) into an (M, n) matrix."""
     if x.data.ndim != 2 or x.data.shape[1] != 1:
@@ -267,8 +245,3 @@ def backward(loss: Tensor) -> None:
     for node in reversed(_topo_order(loss)):
         if node._backward is not None:
             node._backward(node.grad)
-
-
-def zero_grads(tensors) -> None:
-    for t in tensors:
-        t.zero_grad()

@@ -28,7 +28,6 @@ from .errors import (
     SchemaMismatchError,
     SizeError,
 )
-from .metrics import MetricsReport
 from .model import DEFAULT_SCHEMA, TagSchema, load_checkpoint, save_checkpoint
 from .plots import confusion_svg
 from .preprocess import FeaturizerParams, image_to_features, read_pnm
@@ -55,7 +54,7 @@ _LOG_LEVELS = {
     "debug": logging.DEBUG,
 }
 
-_TOP_KEYS = {"seed", "out", "data", "checkpoint", "threads", "svg",
+_TOP_KEYS = {"seed", "out", "data", "checkpoint", "svg",
              "synth", "train", "preprocess"}
 _SYNTH_KEYS = {"schema", "feature_dim", "patches_per_bag", "n_bags",
                "signal_fraction", "noise_std", "correlations", "class_weights",
@@ -216,8 +215,7 @@ def cmd_synth(args) -> int:
     out = _out_dir(cfg, args)
     config = _synth_config(cfg, seed)
     ratios = _ratios(cfg.get("synth", {}))
-    threads = args.threads or int(cfg.get("threads", 1))
-    dataset = generate(config, threads=threads)
+    dataset = generate(config)
     if ratios is None:
         write_bags(dataset, out, config.schema)
         log.info("wrote %d bags to %s", len(dataset), out)
@@ -229,10 +227,6 @@ def cmd_synth(args) -> int:
         log.info("wrote splits %s to %s", [len(p) for p in parts], out)
     print(f"synth: {len(dataset)} bags ({config.schema.describe()}) -> {out}")
     return EXIT_OK
-
-
-def _load_data(path):
-    return read_bags(path)
 
 
 def _load_splits(data_dir, ratios, seed):
@@ -286,11 +280,10 @@ def cmd_eval(args) -> int:
                           "--checkpoint")
     data_dir = _required_dir(getattr(args, "data", None) or cfg.get("data"), "--data")
     out = _out_dir(cfg, args)
-    threads = args.threads or int(cfg.get("threads", 1))
     params = load_checkpoint(ckpt)
-    bags, schema = _load_data(data_dir)
+    bags, schema = read_bags(data_dir)
     _check_schema_match(params, schema)
-    report = evaluate(params, bags, threads=threads)
+    report = evaluate(params, bags)
     report_path = os.path.join(out, "report.json")
     with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report.to_json() + "\n")
@@ -313,7 +306,7 @@ def cmd_export_attention(args) -> int:
     out = _out_dir(cfg, args)
     svg = bool(args.svg or cfg.get("svg", False))
     params = load_checkpoint(ckpt)
-    bags, schema = _load_data(data_dir)
+    bags, schema = read_bags(data_dir)
     _check_schema_match(params, schema)
     written = export_attention(params, bags, out, svg=svg)
     print(f"export-attention: {len(bags)} bags, {len(written)} files -> {out}")
@@ -377,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override config seed")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for evaluation")
         if data:
             p.add_argument("--data", help="bag directory")
         if checkpoint:

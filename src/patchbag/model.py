@@ -164,9 +164,8 @@ def _init_matrix(rng, rows, cols):
 class ModelParams:
     """All trainable matrices, plus the dims/schema/variant that shape them.
 
-    Immutable during inference: forward never writes to parameter data, so
-    concurrent evaluation over shared params is safe. Training is the single
-    writer.
+    Immutable during inference: forward never writes to parameter data.
+    Training is the single writer.
     """
 
     def __init__(self, schema: TagSchema, dims: ModelDims, variant: str, seed: int):
@@ -232,27 +231,9 @@ class ModelParams:
         return [t for _, t in self.named_parameters()]
 
     def copy(self) -> "ModelParams":
-        dup = ModelParams.__new__(ModelParams)
-        dup.schema = self.schema
-        dup.dims = self.dims
-        dup.variant = self.variant
-        dup.seed = self.seed
-        dup.heads = [
-            {k: Tensor(t.data.copy(), requires_grad=True) for k, t in head.items()}
-            for head in self.heads
-        ]
-        dup.proj = (
-            Tensor(self.proj.data.copy(), requires_grad=True)
-            if self.proj is not None else None
-        )
-        dup.tag_gates = [
-            (Tensor(a.data.copy(), requires_grad=True),
-             Tensor(b.data.copy(), requires_grad=True))
-            for a, b in self.tag_gates
-        ]
-        dup.classifiers = [
-            Tensor(w.data.copy(), requires_grad=True) for w in self.classifiers
-        ]
+        dup = ModelParams(self.schema, self.dims, self.variant, self.seed)
+        for (_, src), (_, dst) in zip(self.named_parameters(), dup.named_parameters()):
+            dst.data[...] = src.data
         return dup
 
 
@@ -411,13 +392,23 @@ def save_checkpoint(params: ModelParams, path) -> None:
         fh.write(buf.getvalue())
 
 
+def _header_int(path, text, where):
+    """A non-negative decimal integer from the checkpoint header."""
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(f"{path}: {where!r}: {text!r} is not a non-negative integer")
+    return int(text)
+
+
 def load_checkpoint(path) -> ModelParams:
     with open(path, "rb") as fh:
         raw = fh.read()
     nl = raw.find(b"\nend\n")
     if nl < 0:
         raise ParseError(f"{path}: no 'end' marker in checkpoint header")
-    header = raw[:nl].decode("utf-8").split("\n")
+    try:
+        header = raw[:nl].decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: checkpoint header is not UTF-8") from None
     blob = raw[nl + len(b"\nend\n"):]
 
     fields = {}
@@ -430,7 +421,8 @@ def load_checkpoint(path) -> ModelParams:
         if toks[0] == "matrix":
             if len(toks) != 4:
                 raise ParseError(f"{path}: bad matrix line {line!r}")
-            matrices.append((toks[1], int(toks[2]), int(toks[3])))
+            matrices.append((toks[1], _header_int(path, toks[2], line),
+                             _header_int(path, toks[3], line)))
         elif toks[0] in ("tasks", "task"):
             schema_lines.append(line)
         else:
@@ -442,13 +434,15 @@ def load_checkpoint(path) -> ModelParams:
         if key not in fields:
             raise ParseError(f"{path}: header missing field {key!r}")
     schema = parse_schema_lines(schema_lines, path=str(path))
+    ints = {key: _header_int(path, fields[key], key)
+            for key in ("seed", "feature_dim", "attn_hidden", "tag_hidden", "heads")}
     dims = ModelDims(
-        feature_dim=int(fields["feature_dim"]),
-        attn_hidden=int(fields["attn_hidden"]),
-        tag_hidden=int(fields["tag_hidden"]),
-        n_heads=int(fields["heads"]),
+        feature_dim=ints["feature_dim"],
+        attn_hidden=ints["attn_hidden"],
+        tag_hidden=ints["tag_hidden"],
+        n_heads=ints["heads"],
     )
-    params = ModelParams(schema, dims, fields["variant"], int(fields["seed"]))
+    params = ModelParams(schema, dims, fields["variant"], ints["seed"])
 
     named = params.named_parameters()
     if [m[0] for m in matrices] != [n for n, _ in named]:

@@ -1,11 +1,12 @@
 """Raw-image path: background removal, patch sampling, augmentation, and a
-small trainable featurizer.
+fixed featurizer.
 
 Images come in as binary 8-bit PGM (grayscale) or PPM (color). Otsu's
 threshold on the grayscale histogram separates dark tissue from bright
 background; fixed-size windows are sampled from the foreground, augmented
-down to 224 x 224, and turned into feature vectors by a two-layer network
-that participates in the autodiff graph.
+down to 224 x 224, and turned into feature vectors by a fixed, seeded
+two-layer affine+ReLU projection. Nothing trains the featurizer: its
+weights are drawn from the seed and never updated.
 """
 
 import math
@@ -13,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import (
     ConfigError,
     DegenerateHistogramError,
@@ -245,7 +244,7 @@ def augment(patch: PatchImage, seed) -> PatchImage:
 
 
 # ---------------------------------------------------------------------------
-# featurizer: pooled pixels + channel stats -> two affine+ReLU layers
+# featurizer: pooled pixels + channel stats -> two fixed affine+ReLU layers
 # ---------------------------------------------------------------------------
 
 STATS_LEN = 6
@@ -258,10 +257,10 @@ class FeaturizerParams:
     hidden_dim: int
     out_dim: int
     seed: int
-    w1: Tensor = field(repr=False, default=None)
-    b1: Tensor = field(repr=False, default=None)
-    w2: Tensor = field(repr=False, default=None)
-    b2: Tensor = field(repr=False, default=None)
+    w1: np.ndarray = field(repr=False, default=None)
+    b1: np.ndarray = field(repr=False, default=None)
+    w2: np.ndarray = field(repr=False, default=None)
+    b2: np.ndarray = field(repr=False, default=None)
 
     @classmethod
     def initialize(cls, hidden_dim: int = 128, out_dim: int = 64, seed: int = 0):
@@ -269,22 +268,15 @@ class FeaturizerParams:
 
         def mat(rows, cols):
             bound = math.sqrt(1.0 / rows)
-            return Tensor(rng.uniform(-bound, bound, (rows, cols)), requires_grad=True)
+            return rng.uniform(-bound, bound, (rows, cols))
 
         return cls(
             hidden_dim=hidden_dim, out_dim=out_dim, seed=seed,
             w1=mat(FEAT_INPUT_LEN, hidden_dim),
-            b1=Tensor(np.zeros((1, hidden_dim)), requires_grad=True),
+            b1=np.zeros((1, hidden_dim)),
             w2=mat(hidden_dim, out_dim),
-            b2=Tensor(np.zeros((1, out_dim)), requires_grad=True),
+            b2=np.zeros((1, out_dim)),
         )
-
-    def named_parameters(self):
-        return [("feat.w1", self.w1), ("feat.b1", self.b1),
-                ("feat.w2", self.w2), ("feat.b2", self.b2)]
-
-    def parameters(self):
-        return [t for _, t in self.named_parameters()]
 
 
 def pooled_stats(pixels):
@@ -305,12 +297,14 @@ def pooled_stats(pixels):
     return np.concatenate([pooled.ravel(), stats])
 
 
-def featurize(patch: PatchImage, fparams: FeaturizerParams) -> Tensor:
-    """Differentiable feature vector of length out_dim for one patch."""
-    x = Tensor(pooled_stats(patch.pixels).reshape(1, FEAT_INPUT_LEN))
-    h = ad.relu(ad.add(ad.matmul(x, fparams.w1), fparams.b1))
-    y = ad.relu(ad.add(ad.matmul(h, fparams.w2), fparams.b2))
-    return ad.reshape(y, (fparams.out_dim,))
+def featurize(patch: PatchImage, fparams: FeaturizerParams) -> np.ndarray:
+    """Feature vector of length out_dim for one patch."""
+    x = pooled_stats(patch.pixels).reshape(1, FEAT_INPUT_LEN)
+    h = x @ fparams.w1 + fparams.b1
+    h = np.where(h > 0.0, h, 0.0)
+    y = h @ fparams.w2 + fparams.b2
+    y = np.where(y > 0.0, y, 0.0)
+    return y.reshape(fparams.out_dim)
 
 
 def image_to_features(image, count: int, patch_size: int,
@@ -337,5 +331,5 @@ def image_to_features(image, count: int, patch_size: int,
     for patch, stream in zip(patches, augment_ss.spawn(count)):
         aug = augment(patch, seed=stream)  # default_rng accepts SeedSequence
         final.append(aug)
-        rows.append(featurize(aug, fparams).data)
+        rows.append(featurize(aug, fparams))
     return np.stack(rows), final

@@ -8,7 +8,6 @@ different patches, which is exactly what per-task attention pooling should
 discover.
 """
 
-import concurrent.futures
 import math
 from dataclasses import dataclass, field
 
@@ -122,7 +121,7 @@ def _signal_slots(n_tasks: int, per_task: int):
     ]
 
 
-def generate_with_trace(config: SynthConfig, threads: int = 1):
+def generate_with_trace(config: SynthConfig):
     """Deterministic dataset plus the trace describing how it was planted."""
     config.validate()
     schema = config.schema
@@ -183,13 +182,7 @@ def generate_with_trace(config: SynthConfig, threads: int = 1):
         return PatchBag(bag_id=f"bag{i:0{width}d}", features=feats,
                         labels=tuple(labels))
 
-    # per-bag rng streams make bags order-independent, so threading cannot
-    # change the output
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            bags = list(pool.map(build_bag, range(config.n_bags)))
-    else:
-        bags = [build_bag(i) for i in range(config.n_bags)]
+    bags = [build_bag(i) for i in range(config.n_bags)]
     traces = [
         {name: slots[k].copy() for k, name in enumerate(schema.task_names)}
         for _ in range(config.n_bags)
@@ -197,9 +190,9 @@ def generate_with_trace(config: SynthConfig, threads: int = 1):
     return bags, SynthTrace(prototypes=prototypes, signal_patches=traces)
 
 
-def generate(config: SynthConfig, threads: int = 1):
+def generate(config: SynthConfig):
     """Deterministic dataset of labeled patch bags."""
-    bags, _ = generate_with_trace(config, threads=threads)
+    bags, _ = generate_with_trace(config)
     return bags
 
 

@@ -6,7 +6,6 @@ shuffles and batching all derive from it, so reruns produce bit-identical
 checkpoints, histories and reports on the same platform.
 """
 
-import concurrent.futures
 import logging
 import os
 from dataclasses import dataclass, field
@@ -236,23 +235,16 @@ def train(train_bags, val_bags, schema: TagSchema, config: TrainConfig) -> Train
     return TrainResult(params=best, history=history, best_epoch=best_epoch)
 
 
-def evaluate(params: ModelParams, bags, threads: int = 1) -> MetricsReport:
+def evaluate(params: ModelParams, bags) -> MetricsReport:
     """Metrics of argmax predictions over a dataset; order-invariant."""
     if not bags:
         raise ConfigError("evaluate: empty dataset")
-    schema = params.schema
-
-    def predict(bag):
+    predictions = []
+    for bag in bags:
         probs, _ = predict_probs(bag, params)
-        return [int(np.argmax(p)) for p in probs]
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            predictions = list(pool.map(predict, bags))
-    else:
-        predictions = [predict(b) for b in bags]
+        predictions.append([int(np.argmax(p)) for p in probs])
     truths = np.array([b.labels for b in bags], dtype=np.int64)
-    return build_report(schema, truths, np.array(predictions, dtype=np.int64))
+    return build_report(params.schema, truths, np.array(predictions, dtype=np.int64))
 
 
 def history_csv_lines(history, schema: TagSchema):

@@ -202,6 +202,23 @@ class TestEvalCommand:
                          "--data", str(data), "--out", str(tmp_path / "e")])
         assert code == 2
 
+    @pytest.mark.parametrize("old,new", [
+        (b"\nfeature_dim 8\n", b"\nfeature_dim 8x\n"),
+        (b"\nmatrix proj 8 8\n", b"\nmatrix proj 8x 8\n"),
+        (b"\nvariant gated\n", b"\nvariant gat\xffed\n"),
+        (b"\nseed 2\n", b"\nseed -2\n"),
+    ], ids=["non-integer-field", "non-integer-matrix-rows", "non-utf8",
+            "negative-seed"])
+    def test_hostile_checkpoint_header_exit_4(self, tmp_path, capsys, old, new):
+        data, ckpt = self.setup_run(tmp_path)
+        raw = ckpt.read_bytes()
+        assert raw.count(old) == 1
+        ckpt.write_bytes(raw.replace(old, new))
+        code = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                         "--out", str(tmp_path / "e")])
+        assert code == 4
+        assert "error:" in capsys.readouterr().err
+
 
 class TestExportCommand:
     def test_uniform_attention_exports_natural_order(self, tmp_path):
@@ -293,6 +310,13 @@ class TestExitCodes:
         code = cli.main(["synth", "--config", cfg,
                          "--out", str(blocker / "sub")])
         assert code == 3
+
+    def test_threads_flag_and_key_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["synth", "--threads", "2", "--out", str(tmp_path / "a")])
+        assert exc.value.code == 2
+        cfg = write_config(tmp_path, {"threads": 2})
+        assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "b")]) == 2
 
 
 class TestLogging:

@@ -306,6 +306,46 @@ class TestFullModelGradients:
         assert_grads_match(loss_builder, params.parameters(), rel=1e-4, abs_=1e-8)
 
 
+class TestCopy:
+    VARIANTS = [("gated", 3), ("gated", 0), ("sdpa", 2)]
+
+    def trained_looking(self, variant, heads):
+        dims = ModelDims(feature_dim=6, attn_hidden=4, tag_hidden=3, n_heads=heads)
+        params = ModelParams(SMALL_SCHEMA, dims, variant, seed=9)
+        # move every matrix off its seeded init, so re-initializing is not copying
+        for i, t in enumerate(params.parameters()):
+            t.data += 0.5 * (i + 1)
+        return params
+
+    @pytest.mark.parametrize("variant,heads", VARIANTS)
+    def test_copy_equals_source_bit_for_bit(self, variant, heads):
+        params = self.trained_looking(variant, heads)
+        dup = params.copy()
+        assert (dup.schema, dup.dims, dup.variant, dup.seed) == (
+            params.schema, params.dims, params.variant, params.seed)
+        named, dup_named = params.named_parameters(), dup.named_parameters()
+        assert [n for n, _ in dup_named] == [n for n, _ in named]
+        for (_, a), (_, b) in zip(named, dup_named):
+            assert b.requires_grad
+            assert a.data.shape == b.data.shape
+            assert a.data.tobytes() == b.data.tobytes()
+
+    @pytest.mark.parametrize("variant,heads", VARIANTS)
+    def test_copy_and_source_are_independent(self, variant, heads):
+        params = self.trained_looking(variant, heads)
+        dup = params.copy()
+        src_before = [t.data.copy() for t in params.parameters()]
+        for t in dup.parameters():
+            t.data[...] = -1.0
+        for t, want in zip(params.parameters(), src_before):
+            assert t.data.tobytes() == want.tobytes()
+        dup_before = [t.data.copy() for t in dup.parameters()]
+        for t in params.parameters():
+            t.data[...] = 7.0
+        for t, want in zip(dup.parameters(), dup_before):
+            assert t.data.tobytes() == want.tobytes()
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize("variant,heads", [("gated", 3), ("sdpa", 2), ("gated", 0)])
     def test_round_trip_is_bit_exact(self, tmp_path, variant, heads):

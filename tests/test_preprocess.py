@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from patchbag.autodiff import Tensor
 from patchbag.errors import (
     DegenerateHistogramError,
     InsufficientForegroundError,
@@ -27,7 +26,7 @@ from patchbag.preprocess import (
     write_pnm,
 )
 
-from oracles import assert_grads_match, otsu_exhaustive_exact
+from oracles import otsu_exhaustive_exact
 
 
 def bimodal_histogram(rng, lo_center=60, hi_center=190, spread=18, n=4000):
@@ -195,29 +194,13 @@ class TestFeaturizer:
         rng = np.random.default_rng(7)
         patch = PatchImage(rng.integers(0, 256, (224, 224, 3), dtype=np.uint8), 0, 0)
         feat = featurize(patch, fparams)
-        assert feat.data.shape == (64,)
+        assert feat.shape == (64,)
 
     def test_zero_image_zero_biases_gives_zero_feature(self):
         fparams = FeaturizerParams.initialize(hidden_dim=8, out_dim=12, seed=0)
         patch = PatchImage(np.zeros((224, 224, 3), dtype=np.uint8), 0, 0)
         feat = featurize(patch, fparams)
-        np.testing.assert_array_equal(feat.data, np.zeros(12))
-
-    def test_gradient_matches_finite_differences(self):
-        fparams = FeaturizerParams.initialize(hidden_dim=4, out_dim=3, seed=1)
-        rng = np.random.default_rng(8)
-        # move biases off zero so no ReLU sits exactly on its kink
-        fparams.b1.data[:] = rng.normal(scale=0.3, size=fparams.b1.data.shape)
-        fparams.b2.data[:] = rng.normal(scale=0.3, size=fparams.b2.data.shape)
-        patch = PatchImage(rng.integers(0, 256, (224, 224, 3), dtype=np.uint8), 0, 0)
-        weight = Tensor(rng.normal(size=(3,)))
-        from patchbag import autodiff as ad
-
-        def loss_builder():
-            return ad.tensor_sum(ad.mul(featurize(patch, fparams), weight))
-
-        assert_grads_match(loss_builder, fparams.parameters(), rel=1e-4,
-                           sample=60)
+        np.testing.assert_array_equal(feat, np.zeros(12))
 
     def test_wrong_size_rejected(self):
         fparams = FeaturizerParams.initialize(seed=0)

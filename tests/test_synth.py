@@ -46,13 +46,6 @@ class TestGenerate:
         assert any(x.features.tobytes() != y.features.tobytes()
                    for x, y in zip(a, b))
 
-    def test_threaded_generation_identical(self):
-        a = generate(small_config())
-        b = generate(small_config(), threads=4)
-        for x, y in zip(a, b):
-            assert x.bag_id == y.bag_id and x.labels == y.labels
-            assert x.features.tobytes() == y.features.tobytes()
-
     def test_default_schema_matches_paper_style_counts(self):
         config = SynthConfig(n_bags=1, patches_per_bag=16, signal_fraction=0.1)
         bags = generate(config)

@@ -173,16 +173,13 @@ class TestTrain:
 
 
 class TestEvaluate:
-    def test_order_invariant_and_threaded_equal(self):
+    def test_order_invariant(self):
         bags = tiny_dataset(n_bags=30)
         dims = ModelDims(feature_dim=10, attn_hidden=4, tag_hidden=4, n_heads=1)
         params = ModelParams(SCHEMA, dims, "gated", 0)
         report = evaluate(params, bags)
         shuffled = evaluate(params, list(reversed(bags)))
-        threaded = evaluate(params, bags, threads=4)
         assert report.avg_macro_f1 == shuffled.avg_macro_f1
-        assert report.avg_macro_f1 == threaded.avg_macro_f1
-        assert report.avg_micro_f1 == threaded.avg_micro_f1
 
     def test_empty_dataset_rejected(self):
         dims = ModelDims(feature_dim=10, n_heads=0)
