@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from .errors import ConfigError, IntegrityError, ParseError, SchemaMismatchError
-from .model import TagSchema, parse_schema_lines
+from .model import TagSchema, count_line, header_int, parse_schema_lines
 from .synth import PatchBag
 
 BAGS_MAGIC = "patchbag-bags"
@@ -40,7 +40,17 @@ def write_bags(dataset, directory, schema: TagSchema) -> None:
 
     offset = 0
     chunks = []
+    seen = set()
     for bag in dataset:
+        # the manifest stores ids as whitespace-split tokens, and export
+        # names one file per id
+        if not isinstance(bag.bag_id, str) or bag.bag_id.split() != [bag.bag_id]:
+            raise ConfigError(
+                f"write_bags: bag id {bag.bag_id!r} must be non-empty text "
+                "without whitespace")
+        if bag.bag_id in seen:
+            raise ConfigError(f"write_bags: duplicate bag id {bag.bag_id!r}")
+        seen.add(bag.bag_id)
         if bag.features.shape[1] != feature_dim:
             raise SchemaMismatchError(
                 f"write_bags: bag {bag.bag_id!r} has feature dim "
@@ -69,18 +79,14 @@ def write_bags(dataset, directory, schema: TagSchema) -> None:
             fh.write(chunk)
 
 
-def _parse_kv(token, path, line):
-    if "=" not in token:
-        raise ParseError(f"{path}: expected key=value, got {token!r} in line {line!r}")
-    key, _, value = token.partition("=")
-    return key, value
-
-
 def read_bags(directory):
     """Load a bag directory; returns (bags, schema)."""
     path = os.path.join(directory, MANIFEST_NAME)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: manifest is not UTF-8") from None
     if not lines or lines[0].split() != [BAGS_MAGIC, str(BAGS_VERSION)]:
         raise ParseError(f"{path}: missing or unsupported magic line")
     if lines[-1] == "":
@@ -89,28 +95,14 @@ def read_bags(directory):
         raise ParseError(f"{path}: missing 'end' line")
     body = lines[1:-1]
 
-    if not body or not body[0].startswith("feature_dim "):
-        raise ParseError(f"{path}: expected feature_dim line")
-    try:
-        feature_dim = int(body[0].split()[1])
-    except (IndexError, ValueError):
-        raise ParseError(f"{path}: bad feature_dim line {body[0]!r}") from None
+    def header(i):
+        return body[i] if i < len(body) else ""
 
-    n_schema_lines = 1
-    if len(body) < 2 or not body[1].startswith("tasks "):
-        raise ParseError(f"{path}: expected 'tasks N' line after feature_dim")
-    n_tasks_declared = int(body[1].split()[1])
-    n_schema_lines += n_tasks_declared
+    feature_dim = count_line(path, header(0), "feature_dim")
+    n_schema_lines = 1 + count_line(path, header(1), "tasks")
     schema = parse_schema_lines(body[1:1 + n_schema_lines], path=path)
-
-    rest = body[1 + n_schema_lines:]
-    if not rest or not rest[0].startswith("bags "):
-        raise ParseError(f"{path}: expected 'bags N' line")
-    try:
-        n_bags = int(rest[0].split()[1])
-    except (IndexError, ValueError):
-        raise ParseError(f"{path}: bad bags line {rest[0]!r}") from None
-    bag_lines = rest[1:]
+    n_bags = count_line(path, header(1 + n_schema_lines), "bags")
+    bag_lines = body[2 + n_schema_lines:]
     if len(bag_lines) != n_bags:
         raise ParseError(
             f"{path}: manifest declares {n_bags} bags but lists {len(bag_lines)}"
@@ -121,21 +113,21 @@ def read_bags(directory):
         blob = fh.read()
 
     known = set(schema.task_names)
+    ids = set()
     bags = []
     for line in bag_lines:
         toks = line.split()
         if len(toks) < 4 or toks[0] != "bag":
             raise ParseError(f"{path}: bad bag line {line!r}")
         bag_id = toks[1]
-        fields = dict(_parse_kv(t, path, line) for t in toks[2:])
-        for need in ("patches", "offset"):
-            if need not in fields:
-                raise ParseError(f"{path}: bag {bag_id!r} missing field {need!r}")
-        try:
-            n_patches = int(fields.pop("patches"))
-            offset = int(fields.pop("offset"))
-        except ValueError:
-            raise ParseError(f"{path}: bag {bag_id!r} has non-integer patches/offset") from None
+        if bag_id in ids:
+            raise ParseError(f"{path}: duplicate bag id {bag_id!r}")
+        ids.add(bag_id)
+        fields = dict(t.split("=", 1) for t in toks[2:] if "=" in t)
+        if len(fields) != len(toks) - 2:
+            raise ParseError(f"{path}: bad or repeated key=value in line {line!r}")
+        n_patches = header_int(path, fields.pop("patches", ""), f"bag {bag_id} patches")
+        offset = header_int(path, fields.pop("offset", ""), f"bag {bag_id} offset")
 
         labels = [None] * schema.n_tasks
         for task, value in fields.items():
@@ -145,7 +137,7 @@ def read_bags(directory):
                     f"(schema tasks: {', '.join(schema.task_names)})"
                 )
             idx = schema.task_index(task)
-            label = int(value)
+            label = header_int(path, value, f"bag {bag_id} {task}")
             if not (0 <= label < len(schema.classes(task))):
                 raise SchemaMismatchError(
                     f"{path}: bag {bag_id!r} label {label} out of range for "
@@ -159,7 +151,7 @@ def read_bags(directory):
 
         count = n_patches * feature_dim
         end = offset + count * 8
-        if offset < 0 or end > len(blob):
+        if end > len(blob):
             raise IntegrityError(
                 f"{blob_path}: bag {bag_id!r} needs bytes [{offset}, {end}) but "
                 f"blob has {len(blob)}"

@@ -9,29 +9,26 @@ are a stable scripting contract: 0 success, 2 configuration, 3 I/O,
 import argparse
 import json
 import logging
+import math
 import os
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 
 from .bagio import read_bags, write_bags
-from .errors import (
-    ConfigError,
-    ContractError,
-    DegenerateHistogramError,
-    DimensionError,
-    EmptyBagError,
-    InsufficientForegroundError,
-    IntegrityError,
-    NumericError,
-    ParseError,
-    SchemaMismatchError,
-    SizeError,
-)
+from .errors import ConfigError, PatchbagError, SchemaMismatchError
 from .model import DEFAULT_SCHEMA, TagSchema, load_checkpoint, save_checkpoint
 from .plots import confusion_svg
-from .preprocess import FeaturizerParams, image_to_features, read_pnm
-from .synth import CorrelationRule, PatchBag, SynthConfig, generate, split
+from .preprocess import PATCH_SIDE, FeaturizerParams, image_to_features, read_pnm
+from .synth import (
+    CorrelationRule,
+    PatchBag,
+    SynthConfig,
+    check_ratios,
+    generate,
+    split,
+)
 from .training import (
     TrainConfig,
     evaluate,
@@ -54,16 +51,24 @@ _LOG_LEVELS = {
     "debug": logging.DEBUG,
 }
 
-_TOP_KEYS = {"seed", "out", "data", "checkpoint", "svg",
-             "synth", "train", "preprocess"}
-_SYNTH_KEYS = {"schema", "feature_dim", "patches_per_bag", "n_bags",
-               "signal_fraction", "noise_std", "correlations", "class_weights",
-               "ratios"}
-_TRAIN_KEYS = {"lr", "beta1", "beta2", "epsilon", "lambdas", "epochs",
-               "batch_size", "variant", "heads", "attn_hidden", "tag_hidden",
-               "ratios"}
-_PREPROCESS_KEYS = {"images", "schema", "patches_per_bag", "patch_size",
-                    "feature_dim", "hidden_dim"}
+
+def _fields(cls, **extra):
+    """A config section's keys and defaults: the fields of `cls` but `seed`."""
+    keys = {f.name: f.default_factory() if f.default is MISSING else f.default
+            for f in fields(cls) if f.name != "seed"}
+    return {**keys, **extra}
+
+
+# Every key a config accepts, with its default. The top-level `seed` seeds
+# every command.
+CONFIG_DEFAULTS = {
+    "seed": 0, "out": None, "data": None, "checkpoint": None, "svg": False,
+    "synth": _fields(SynthConfig, ratios=None),
+    "train": _fields(TrainConfig, ratios=(0.72, 0.08, 0.20)),
+    "preprocess": {"images": [], "schema": DEFAULT_SCHEMA, "patches_per_bag": 32,
+                   "patch_size": 512, "feature_dim": 64, "hidden_dim": 128},
+}
+_SECTIONS = ("synth", "train", "preprocess")
 
 
 def _setup_logging() -> None:
@@ -77,150 +82,143 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _check_keys(section: dict, allowed, where: str) -> None:
-    unknown = sorted(set(section) - set(allowed))
+def _expect(ok, where, what, value):
+    """`value` when `ok`; else a ConfigError naming the key at `where`."""
+    if not ok:
+        raise ConfigError(f"config: {where} must be {what}, got {value!r}")
+    return value
+
+
+# The JSON values a key takes, by the type of its default. JSON true and
+# false are never integers or numbers here.
+_BY_TYPE = {
+    bool: lambda v, at: _expect(isinstance(v, bool), at, "true or false", v),
+    int: lambda v, at: _expect(type(v) is int, at, "an integer", v),
+    float: lambda v, at: float(_expect(
+        type(v) in (int, float) and math.isfinite(v), at, "a finite number", v)),
+    str: lambda v, at: _expect(isinstance(v, str), at, "a string", v),
+}
+_text, _number = _BY_TYPE[str], _BY_TYPE[float]
+
+
+def _list(value, where, item):
+    _expect(isinstance(value, list), where, "a list", value)
+    return tuple(item(v, f"{where}[{i}]") for i, v in enumerate(value))
+
+
+def _task(value, where):
+    _expect(isinstance(value, list) and len(value) == 2, where,
+            "a [task, [classes...]] pair", value)
+    return _text(value[0], where), _list(value[1], where, _text)
+
+
+def _rule(value, where):
+    _expect(isinstance(value, list) and len(value) == 5, where,
+            "[task_a, class_a, task_b, class_b, probability]", value)
+    return CorrelationRule(*(_text(v, where) for v in value[:4]),
+                           _number(value[4], where))
+
+
+def _image(value, where):
+    _expect(isinstance(value, dict) and isinstance(value.get("labels"), dict),
+            where, "an object with 'path' and 'labels'", value)
+    _text(value.get("path"), f"{where}.path")
+    for task, label in value["labels"].items():
+        _expect(type(label) is int or isinstance(label, str),
+                f"{where}.labels.{task}", "a class name or index", label)
+    return value
+
+
+# Keys whose JSON type their default does not show.
+_CONVERTERS = {
+    "seed": lambda v, at: _expect(type(v) is int and v >= 0, at,
+                                  "an integer >= 0", v),
+    "out": _text, "data": _text, "checkpoint": _text,
+    "schema": lambda v, at: TagSchema(tasks=_list(v, at, _task)),
+    "correlations": lambda v, at: _list(v, at, _rule),
+    "class_weights": lambda v, at: {
+        task: _list(w, f"{at}.{task}", _number)
+        for task, w in _expect(isinstance(v, dict), at, "an object", v).items()},
+    "lambdas": lambda v, at: _list(v, at, _number),
+    "ratios": lambda v, at: check_ratios(_list(v, at, _number)),
+    "images": lambda v, at: list(_list(v, at, _image)),
+}
+
+
+def _resolve(given: dict, defaults: dict, where: str) -> dict:
+    unknown = sorted(set(given) - set(defaults))
     if unknown:
-        raise ConfigError(f"config: unknown key(s) {unknown} in {where}")
+        raise ConfigError(f"config: unknown key(s) {unknown} in {where or 'top level'}")
+    resolved = dict(defaults)
+    for key, value in given.items():
+        at = f"{where}.{key}" if where else key
+        if key in _SECTIONS:
+            resolved[key] = _resolve(value, defaults[key], at)
+        else:
+            convert = _CONVERTERS.get(key) or _BY_TYPE[type(defaults[key])]
+            resolved[key] = convert(value, at)
+    return resolved
 
 
-def load_config(path) -> dict:
-    if path is None:
-        return {}
-    if not os.path.isfile(path):
-        raise ConfigError(f"config: file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config: {path} is not valid JSON: {e}") from None
+def resolve_config(args) -> dict:
+    """The run's config: the JSON file with the flags folded in, every key
+    present, and every value checked against its JSON type and converted."""
+    cfg = {}
+    if args.config is not None:
+        if not os.path.isfile(args.config):
+            raise ConfigError(f"config: file not found: {args.config}")
+        with open(args.config, "r", encoding="utf-8") as fh:
+            try:
+                cfg = json.load(fh)
+            except json.JSONDecodeError as e:
+                raise ConfigError(f"config: {args.config} is not valid JSON: {e}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config: top level must be a JSON object")
-    _check_keys(cfg, _TOP_KEYS, "top level")
-    for name, keys in (("synth", _SYNTH_KEYS), ("train", _TRAIN_KEYS),
-                       ("preprocess", _PREPROCESS_KEYS)):
-        section = cfg.get(name, {})
-        if not isinstance(section, dict):
+    for name in _SECTIONS:
+        if not isinstance(cfg.setdefault(name, {}), dict):
             raise ConfigError(f"config: {name!r} must be an object")
-        _check_keys(section, keys, f"section {name!r}")
-    return cfg
+    for key in ("seed", "out", "data", "checkpoint", "svg"):
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
+    for key in ("heads", "variant"):
+        if getattr(args, key, None) is not None:
+            cfg["train"][key] = getattr(args, key)
+    return _resolve(cfg, CONFIG_DEFAULTS, "")
 
 
-def _schema_from_json(spec) -> TagSchema:
-    if spec is None:
-        return DEFAULT_SCHEMA
-    try:
-        tasks = tuple((name, tuple(classes)) for name, classes in spec)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            "config: schema must be a list of [task, [classes...]] pairs"
-        ) from None
-    return TagSchema(tasks=tasks)
+def _section(cls, cfg: dict, name: str):
+    """`cls` built from the resolved section `name` and the top-level seed."""
+    return cls(seed=cfg["seed"],
+               **{k: v for k, v in cfg[name].items() if k != "ratios"})
 
 
-def _synth_config(cfg: dict, seed: int) -> SynthConfig:
-    section = cfg.get("synth", {})
-    rules = []
-    for item in section.get("correlations", []):
-        if len(item) != 5:
-            raise ConfigError(
-                "config: correlations entries are [task_a, class_a, task_b, "
-                "class_b, probability]"
-            )
-        rules.append(CorrelationRule(item[0], item[1], item[2], item[3],
-                                     float(item[4])))
-    config = SynthConfig(
-        schema=_schema_from_json(section.get("schema")),
-        feature_dim=int(section.get("feature_dim", 64)),
-        patches_per_bag=int(section.get("patches_per_bag", 32)),
-        n_bags=int(section.get("n_bags", 100)),
-        signal_fraction=float(section.get("signal_fraction", 0.25)),
-        noise_std=float(section.get("noise_std", 0.25)),
-        correlations=tuple(rules),
-        class_weights=section.get("class_weights", {}),
-        seed=seed,
-    )
-    config.validate()
-    return config
-
-
-def _train_config(cfg: dict, args) -> TrainConfig:
-    section = cfg.get("train", {})
-    config = TrainConfig(
-        lr=float(section.get("lr", 1e-4)),
-        beta1=float(section.get("beta1", 0.9)),
-        beta2=float(section.get("beta2", 0.999)),
-        epsilon=float(section.get("epsilon", 1e-8)),
-        lambdas=tuple(section["lambdas"]) if "lambdas" in section else None,
-        epochs=int(section.get("epochs", 50)),
-        batch_size=int(section.get("batch_size", 8)),
-        seed=_seed(cfg, args),
-        variant=section.get("variant", "gated"),
-        heads=int(section.get("heads", 3)),
-        attn_hidden=int(section.get("attn_hidden", 32)),
-        tag_hidden=int(section.get("tag_hidden", 32)),
-    )
-    if getattr(args, "variant", None) is not None:
-        config.variant = args.variant
-    if getattr(args, "heads", None) is not None:
-        config.heads = args.heads
-    return config
-
-
-def _seed(cfg: dict, args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return int(cfg.get("seed", 0))
-
-
-def _required_dir(path, flag: str):
+def _required(path, flag: str, exists=os.path.isfile):
     if path is None:
         raise ConfigError(f"{flag}: required (flag or config)")
-    if not os.path.isdir(path):
-        raise ConfigError(f"{flag}: directory not found: {path}")
+    if not exists(path):
+        raise ConfigError(f"{flag}: not found: {path}")
     return path
 
 
-def _required_file(path, flag: str):
-    if path is None:
-        raise ConfigError(f"{flag}: required (flag or config)")
-    if not os.path.isfile(path):
-        raise ConfigError(f"{flag}: file not found: {path}")
-    return path
-
-
-def _out_dir(cfg: dict, args) -> str:
-    out = getattr(args, "out", None) or cfg.get("out")
-    if out is None:
+def _out_dir(cfg: dict) -> str:
+    if cfg["out"] is None:
         raise ConfigError("--out: required (flag or config)")
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _ratios(section: dict):
-    if "ratios" not in section:
-        return None
-    ratios = section["ratios"]
-    if (not isinstance(ratios, (list, tuple)) or len(ratios) != 3
-            or abs(sum(float(r) for r in ratios) - 1.0) > 1e-9
-            or any(float(r) < 0 for r in ratios)):
-        raise ConfigError(
-            f"ratios: need 3 non-negative values summing to 1, got {ratios!r}"
-        )
-    return tuple(float(r) for r in ratios)
+    os.makedirs(cfg["out"], exist_ok=True)
+    return cfg["out"]
 
 
 def cmd_synth(args) -> int:
-    cfg = load_config(args.config)
-    seed = _seed(cfg, args)
-    out = _out_dir(cfg, args)
-    config = _synth_config(cfg, seed)
-    ratios = _ratios(cfg.get("synth", {}))
+    cfg = resolve_config(args)
+    out = _out_dir(cfg)
+    config = _section(SynthConfig, cfg, "synth")
+    config.validate()
+    ratios = cfg["synth"]["ratios"]
     dataset = generate(config)
     if ratios is None:
         write_bags(dataset, out, config.schema)
         log.info("wrote %d bags to %s", len(dataset), out)
     else:
-        parts = split(dataset, ratios, seed)
+        parts = split(dataset, ratios, config.seed)
         for name, bags in zip(("train", "val", "test"), parts):
             if bags:
                 write_bags(bags, os.path.join(out, name), config.schema)
@@ -241,17 +239,17 @@ def _load_splits(data_dir, ratios, seed):
             )
         return train_bags, val_bags, schema
     bags, schema = read_bags(data_dir)
-    train_bags, val_bags, _ = split(bags, ratios or (0.72, 0.08, 0.20), seed)
+    train_bags, val_bags, _ = split(bags, ratios, seed)
     return train_bags, val_bags, schema
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    data_dir = _required_dir(getattr(args, "data", None) or cfg.get("data"), "--data")
-    out = _out_dir(cfg, args)
-    config = _train_config(cfg, args)
-    ratios = _ratios(cfg.get("train", {}))
-    train_bags, val_bags, schema = _load_splits(data_dir, ratios, config.seed)
+    cfg = resolve_config(args)
+    data_dir = _required(cfg["data"], "--data", os.path.isdir)
+    out = _out_dir(cfg)
+    config = _section(TrainConfig, cfg, "train")
+    train_bags, val_bags, schema = _load_splits(data_dir, cfg["train"]["ratios"],
+                                                config.seed)
     result = train(train_bags, val_bags, schema, config)
     ckpt_path = os.path.join(out, "checkpoint.ckpt")
     save_checkpoint(result.params, ckpt_path)
@@ -265,24 +263,24 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _check_schema_match(params, schema) -> None:
+def _load_scored(cfg: dict):
+    """The checkpoint, bags, schema and output directory of eval and export."""
+    ckpt = _required(cfg["checkpoint"], "--checkpoint")
+    data_dir = _required(cfg["data"], "--data", os.path.isdir)
+    out = _out_dir(cfg)
+    params = load_checkpoint(ckpt)
+    bags, schema = read_bags(data_dir)
     if params.schema != schema:
         raise SchemaMismatchError(
             "checkpoint schema does not match data schema:\n"
             f"  checkpoint: [{params.schema.describe()}]\n"
             f"  data:       [{schema.describe()}]"
         )
+    return params, bags, schema, out
 
 
 def cmd_eval(args) -> int:
-    cfg = load_config(args.config)
-    ckpt = _required_file(getattr(args, "checkpoint", None) or cfg.get("checkpoint"),
-                          "--checkpoint")
-    data_dir = _required_dir(getattr(args, "data", None) or cfg.get("data"), "--data")
-    out = _out_dir(cfg, args)
-    params = load_checkpoint(ckpt)
-    bags, schema = read_bags(data_dir)
-    _check_schema_match(params, schema)
+    params, bags, schema, out = _load_scored(resolve_config(args))
     report = evaluate(params, bags)
     report_path = os.path.join(out, "report.json")
     with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -299,59 +297,46 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_attention(args) -> int:
-    cfg = load_config(args.config)
-    ckpt = _required_file(getattr(args, "checkpoint", None) or cfg.get("checkpoint"),
-                          "--checkpoint")
-    data_dir = _required_dir(getattr(args, "data", None) or cfg.get("data"), "--data")
-    out = _out_dir(cfg, args)
-    svg = bool(args.svg or cfg.get("svg", False))
-    params = load_checkpoint(ckpt)
-    bags, schema = read_bags(data_dir)
-    _check_schema_match(params, schema)
-    written = export_attention(params, bags, out, svg=svg)
+    cfg = resolve_config(args)
+    params, bags, _, out = _load_scored(cfg)
+    written = export_attention(params, bags, out, svg=cfg["svg"])
     print(f"export-attention: {len(bags)} bags, {len(written)} files -> {out}")
     return EXIT_OK
 
 
 def cmd_preprocess(args) -> int:
-    cfg = load_config(args.config)
-    section = cfg.get("preprocess", {})
-    seed = _seed(cfg, args)
-    out = _out_dir(cfg, args)
-    images = section.get("images")
+    cfg = resolve_config(args)
+    section = cfg["preprocess"]
+    out = _out_dir(cfg)
+    images = section["images"]
     if not images:
         raise ConfigError("preprocess.images: at least one image entry required")
-    schema = _schema_from_json(section.get("schema"))
-    count = int(section.get("patches_per_bag", 32))
-    patch_size = int(section.get("patch_size", 512))
-    fparams = FeaturizerParams.initialize(
-        hidden_dim=int(section.get("hidden_dim", 128)),
-        out_dim=int(section.get("feature_dim", 64)),
-        seed=seed,
-    )
+    for key, low in (("patches_per_bag", 1), ("patch_size", PATCH_SIDE),
+                     ("feature_dim", 1), ("hidden_dim", 1)):
+        if section[key] < low:
+            raise ConfigError(f"preprocess.{key}: must be >= {low}, got {section[key]}")
+    schema = section["schema"]
+    count = section["patches_per_bag"]
+    fparams = FeaturizerParams.initialize(hidden_dim=section["hidden_dim"],
+                                          out_dim=section["feature_dim"],
+                                          seed=cfg["seed"])
     bags = []
-    streams = np.random.SeedSequence(seed).spawn(len(images))
+    streams = np.random.SeedSequence(cfg["seed"]).spawn(len(images))
     for entry, stream in zip(images, streams):
-        if "path" not in entry or "labels" not in entry:
-            raise ConfigError("preprocess.images: entries need 'path' and 'labels'")
-        path = _required_file(entry["path"], "preprocess.images.path")
+        path = _required(entry["path"], "preprocess.images.path")
         labels = []
         for name, classes in schema.tasks:
-            if name not in entry["labels"]:
+            value = entry["labels"].get(name)
+            index = classes.index(value) if value in classes else value
+            if not (type(index) is int and 0 <= index < len(classes)):
                 raise SchemaMismatchError(
-                    f"preprocess: image {path} missing label for task {name!r}"
+                    f"preprocess: image {path}: label {value!r} for task {name!r} "
+                    "is missing or names no class"
                 )
-            value = entry["labels"][name]
-            if isinstance(value, str):
-                if value not in classes:
-                    raise SchemaMismatchError(
-                        f"preprocess: unknown class {value!r} for task {name!r}"
-                    )
-                labels.append(classes.index(value))
-            else:
-                labels.append(int(value))
+            labels.append(index)
         image = read_pnm(path)
-        feats, _ = image_to_features(image, count, patch_size, fparams, seed=stream)
+        feats, _ = image_to_features(image, count, section["patch_size"], fparams,
+                                     seed=stream)
         stem = os.path.splitext(os.path.basename(path))[0]
         bags.append(PatchBag(bag_id=stem, features=feats, labels=tuple(labels)))
     write_bags(bags, out, schema)
@@ -375,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
         if checkpoint:
             p.add_argument("--checkpoint", help="checkpoint file")
         if svg:
-            p.add_argument("--svg", action="store_true", help="also emit SVG charts")
+            p.add_argument("--svg", action="store_true", default=None,
+                           help="also emit SVG charts")
 
     common(sub.add_parser("synth", help="generate a synthetic bag dataset"))
     common(sub.add_parser("preprocess",
@@ -407,12 +393,10 @@ def main(argv=None) -> int:
         _setup_logging()
         args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
-    except (SchemaMismatchError, ConfigError) as e:
+    except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ParseError, IntegrityError, NumericError, DimensionError,
-            EmptyBagError, SizeError, ContractError,
-            InsufficientForegroundError, DegenerateHistogramError) as e:
+    except PatchbagError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except OSError as e:

@@ -47,6 +47,14 @@ class TagSchema:
         if len(set(names)) != len(names):
             raise ConfigError("schema: duplicate task names")
         for name, classes in self.tasks:
+            # manifests and checkpoints store names as whitespace-split
+            # tokens, and bag lines label tasks as `task=class`
+            for text in (name, *classes):
+                if not isinstance(text, str) or text.split() != [text]:
+                    raise ConfigError(f"schema: name {text!r} must be non-empty "
+                                      "text without whitespace")
+            if "=" in name:
+                raise ConfigError(f"schema: task name {name!r} contains '='")
             if len(classes) < 2:
                 raise ConfigError(f"schema: task {name!r} needs >= 2 classes")
             if len(set(classes)) != len(classes):
@@ -105,16 +113,25 @@ DEFAULT_SCHEMA = TagSchema(
 )
 
 
+def header_int(path, text, where):
+    """A non-negative decimal integer from a manifest or checkpoint header."""
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(f"{path}: {where!r}: {text!r} is not a non-negative integer")
+    return int(text)
+
+
+def count_line(path, line, key):
+    """N from a `key N` header line."""
+    toks = line.split()
+    if len(toks) != 2 or toks[0] != key:
+        raise ParseError(f"{path}: expected '{key} N' line, got {line!r}")
+    return header_int(path, toks[1], line)
+
+
 def parse_schema_lines(lines, path="<manifest>"):
     """Parse the `tasks N` / `task name c1 c2 ...` block used in manifests."""
     it = iter(lines)
-    first = next(it, None)
-    if first is None or not first.startswith("tasks "):
-        raise ParseError(f"{path}: expected 'tasks N' line, got {first!r}")
-    try:
-        n = int(first.split()[1])
-    except (IndexError, ValueError):
-        raise ParseError(f"{path}: bad task count in {first!r}") from None
+    n = count_line(path, next(it, ""), "tasks")
     tasks = []
     for _ in range(n):
         line = next(it, None)
@@ -124,7 +141,10 @@ def parse_schema_lines(lines, path="<manifest>"):
         if len(toks) < 4:
             raise ParseError(f"{path}: task line too short: {line!r}")
         tasks.append((toks[1], tuple(toks[2:])))
-    return TagSchema(tasks=tuple(tasks))
+    try:
+        return TagSchema(tasks=tuple(tasks))
+    except ConfigError as e:
+        raise ParseError(f"{path}: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -392,13 +412,6 @@ def save_checkpoint(params: ModelParams, path) -> None:
         fh.write(buf.getvalue())
 
 
-def _header_int(path, text, where):
-    """A non-negative decimal integer from the checkpoint header."""
-    if not (text.isascii() and text.isdigit()):
-        raise ParseError(f"{path}: {where!r}: {text!r} is not a non-negative integer")
-    return int(text)
-
-
 def load_checkpoint(path) -> ModelParams:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -421,8 +434,8 @@ def load_checkpoint(path) -> ModelParams:
         if toks[0] == "matrix":
             if len(toks) != 4:
                 raise ParseError(f"{path}: bad matrix line {line!r}")
-            matrices.append((toks[1], _header_int(path, toks[2], line),
-                             _header_int(path, toks[3], line)))
+            matrices.append((toks[1], header_int(path, toks[2], line),
+                             header_int(path, toks[3], line)))
         elif toks[0] in ("tasks", "task"):
             schema_lines.append(line)
         else:
@@ -434,7 +447,7 @@ def load_checkpoint(path) -> ModelParams:
         if key not in fields:
             raise ParseError(f"{path}: header missing field {key!r}")
     schema = parse_schema_lines(schema_lines, path=str(path))
-    ints = {key: _header_int(path, fields[key], key)
+    ints = {key: header_int(path, fields[key], key)
             for key in ("seed", "feature_dim", "attn_hidden", "tag_hidden", "heads")}
     dims = ModelDims(
         feature_dim=ints["feature_dim"],

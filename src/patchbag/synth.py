@@ -65,6 +65,8 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigError("synth: seed must be >= 0")
         if self.feature_dim < 1:
             raise ConfigError("synth: feature_dim must be >= 1")
         if self.patches_per_bag < 1:
@@ -196,12 +198,8 @@ def generate(config: SynthConfig):
     return bags
 
 
-def split(dataset, ratios=(0.72, 0.08, 0.20), seed: int = 0):
-    """Seeded disjoint (train, val, test) partition.
-
-    Default ratios reproduce an 80/20 train/test split with 10% of the
-    training side held out for validation.
-    """
+def check_ratios(ratios):
+    """(train, val, test) fractions as floats: three, non-negative, summing to 1."""
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3:
         raise ConfigError(f"ratios: expected 3 values, got {len(ratios)}")
@@ -209,6 +207,16 @@ def split(dataset, ratios=(0.72, 0.08, 0.20), seed: int = 0):
         raise ConfigError(f"ratios: must be non-negative, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"ratios: must sum to 1, got {ratios} (sum {sum(ratios)})")
+    return ratios
+
+
+def split(dataset, ratios=(0.72, 0.08, 0.20), seed: int = 0):
+    """Seeded disjoint (train, val, test) partition.
+
+    Default ratios reproduce an 80/20 train/test split with 10% of the
+    training side held out for validation.
+    """
+    ratios = check_ratios(ratios)
     n = len(dataset)
     order = np.random.default_rng(seed).permutation(n)
     n_train = int(round(ratios[0] * n))

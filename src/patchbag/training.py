@@ -38,6 +38,8 @@ class TrainConfig:
     tag_hidden: int = 32
 
     def validate(self, n_tasks: int) -> None:
+        if self.seed < 0:
+            raise ConfigError("train: seed must be >= 0")
         if self.lr < 0:
             raise ConfigError("train: lr must be >= 0")
         for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
@@ -57,10 +59,6 @@ class TrainConfig:
             raise ConfigError("train: epochs must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("train: batch_size must be >= 1")
-        if self.variant not in ("gated", "sdpa"):
-            raise ConfigError("train: variant must be 'gated' or 'sdpa'")
-        if self.heads < 0:
-            raise ConfigError("train: heads must be >= 0")
 
     def task_lambdas(self, n_tasks: int):
         return tuple(self.lambdas) if self.lambdas is not None else (1.0,) * n_tasks

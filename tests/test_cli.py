@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -334,3 +335,135 @@ class TestLogging:
             monkeypatch.setenv("PATCHBAG_LOG", level)
             assert cli.main(["synth", "--config", cfg,
                              "--out", str(tmp_path / f"d{i}")]) == 0
+
+
+PREPROCESS_SECTION = {
+    "schema": [["color", ["red", "blue"]], ["shape", ["dot", "bar"]]],
+    "patches_per_bag": 3, "patch_size": 256, "feature_dim": 6, "hidden_dim": 8,
+}
+
+
+@pytest.fixture(scope="module")
+def world(tmp_path_factory):
+    """A bag directory, a checkpoint that fits it, and slides to preprocess."""
+    root = tmp_path_factory.mktemp("world")
+    data = make_data_dir(root)
+    dims = ModelDims(feature_dim=8, attn_hidden=4, tag_hidden=4, n_heads=1)
+    params = ModelParams(read_bags(data)[1], dims, "gated", 0)
+    save_checkpoint(params, root / "model.ckpt")
+    for name in ("slide.ppm", "my slide.ppm", "a/dup.ppm", "b/dup.ppm"):
+        (root / name).parent.mkdir(exist_ok=True)
+        TestPreprocessCommand().make_slide(root, name=name)
+    return root
+
+
+def bad(name, command, text, config=None, flags=(), slides=("slide.ppm",),
+        edit=None, code=2):
+    """One malformed input: `config` is merged into the command's base config,
+    `edit` replaces bytes in a copy of the bag manifest, and the run must exit
+    `code` with `text` in its error line."""
+    return pytest.param(command, config or {}, list(flags), slides, edit, code,
+                        text, id=name)
+
+
+BAD_INPUTS = [
+    bad("lr-string", "train", "train.lr", {"train": {"lr": "abc"}}),
+    bad("lr-nan", "train", "train.lr", {"train": {"lr": float("nan")}}),
+    bad("epochs-list", "train", "train.epochs", {"train": {"epochs": [1]}}),
+    bad("epochs-float", "train", "train.epochs", {"train": {"epochs": 1.7}}),
+    bad("heads-string", "train", "train.heads", {"train": {"heads": "x"}}),
+    bad("lambdas-number", "train", "train.lambdas", {"train": {"lambdas": 5}}),
+    bad("lambdas-string-item", "train", "train.lambdas",
+        {"train": {"lambdas": ["a", 1, 1]}}),
+    bad("ratios-string-item", "train", "train.ratios",
+        {"train": {"ratios": ["a", 0.5, 0.5]}}),
+    bad("seed-string", "train", "seed", {"seed": "x"}),
+    bad("out-number", "synth", "out", {"out": 5}),
+    bad("n-bags-string", "synth", "synth.n_bags", {"synth": {"n_bags": "x"}}),
+    bad("correlations-number", "synth", "synth.correlations",
+        {"synth": {"correlations": 5}}),
+    bad("class-weights-list", "synth", "synth.class_weights",
+        {"synth": {"class_weights": [1]}}),
+    bad("patch-size-string", "preprocess", "preprocess.patch_size",
+        {"preprocess": {"patch_size": "x"}}),
+    bad("patch-size-small", "preprocess", "preprocess.patch_size",
+        {"preprocess": {"patch_size": 100}}),
+    bad("hidden-dim-zero", "preprocess", "preprocess.hidden_dim",
+        {"preprocess": {"hidden_dim": 0}}),
+    bad("svg-string", "export-attention", "svg", {"svg": "no"}),
+    bad("synth-seed-flag-negative", "synth", "seed", flags=["--seed", "-1"]),
+    bad("train-seed-negative", "train", "seed", {"seed": -1}),
+    bad("preprocess-seed-flag-negative", "preprocess", "seed",
+        flags=["--seed", "-1"]),
+    bad("manifest-tasks-string", "train", "tasks x", code=4,
+        edit=(b"tasks 2\n", b"tasks x\n")),
+    bad("manifest-label-string", "train", "x2", code=4,
+        edit=(b" color=0 ", b" color=x2 ")),
+    bad("manifest-repeated-label", "train", "repeated", code=4,
+        edit=(b" color=0 ", b" color=0 color=1 ")),
+    bad("manifest-non-utf8", "train", "UTF-8", code=4,
+        edit=(b"task color ", b"task co\xfflor ")),
+    bad("class-name-space", "synth", "'a b'",
+        {"synth": {"schema": [["tint", ["a b", "c"]]]}}),
+    bad("bag-id-space", "preprocess", "'my slide'", slides=["my slide.ppm"]),
+    bad("bag-id-repeated", "preprocess", "'dup'",
+        slides=["a/dup.ppm", "b/dup.ppm"]),
+]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("command,config,flags,slides,edit,code,text",
+                             BAD_INPUTS)
+    def test_exit_code_and_error_line(self, world, tmp_path, capsys, command,
+                                      config, flags, slides, edit, code, text):
+        images = [{"path": str(world / s), "labels": {"color": "red", "shape": 1}}
+                  for s in slides]
+        payload = {
+            "synth": {"synth": dict(SMALL_SYNTH["synth"])},
+            "train": {"train": dict(TRAIN_SECTION["train"])},
+            "preprocess": {"preprocess": {**PREPROCESS_SECTION, "images": images}},
+            "export-attention": {},
+        }[command]
+        for key, value in config.items():
+            if isinstance(value, dict):
+                payload.setdefault(key, {}).update(value)
+            else:
+                payload[key] = value
+        data = world / "data"
+        if edit is not None:
+            data = tmp_path / "edited"
+            shutil.copytree(world / "data", data)
+            raw = (data / "manifest").read_bytes()
+            assert edit[0] in raw
+            (data / "manifest").write_bytes(raw.replace(edit[0], edit[1], 1))
+        argv = [command, "--config", write_config(tmp_path, payload), *flags]
+        if "out" not in config:
+            argv += ["--out", str(tmp_path / "out")]
+        if command in ("train", "export-attention"):
+            argv += ["--data", str(data)]
+        if command == "export-attention":
+            argv += ["--checkpoint", str(world / "model.ckpt")]
+        assert cli.main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and text in err
+
+    def test_integer_for_a_float_key_trains(self, world, tmp_path):
+        payload = json.loads(json.dumps(TRAIN_SECTION))
+        payload["train"]["lr"] = 1
+        cfg = write_config(tmp_path, payload)
+        assert cli.main(["train", "--config", cfg, "--data", str(world / "data"),
+                         "--out", str(tmp_path / "run")]) == 0
+
+
+def test_readme_config_table_lists_every_key():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+                  encoding="utf-8").read()
+    documented = {line.split("`")[1] for line in readme.splitlines()
+                  if line.startswith("| `")}
+    accepted = set()
+    for key, default in cli.CONFIG_DEFAULTS.items():
+        if key in ("synth", "train", "preprocess"):
+            accepted |= {f"{key}.{name}" for name in default}
+        else:
+            accepted.add(key)
+    assert documented == accepted

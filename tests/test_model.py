@@ -62,6 +62,14 @@ class TestSchema:
         with pytest.raises(ConfigError):
             TagSchema(tasks=(("t", ("only",)),))
 
+    @pytest.mark.parametrize("tasks", [
+        (("t", ("a b", "c")),), (("t", ("", "c")),), (("t u", ("a", "c")),),
+        (("", ("a", "c")),), (("t=u", ("a", "c")),), (("t", ("a", 1)),),
+    ])
+    def test_rejects_names_the_text_formats_cannot_carry(self, tasks):
+        with pytest.raises(ConfigError):
+            TagSchema(tasks=tasks)
+
 
 class TestHeadAttention:
     def test_single_patch_gets_full_weight(self):

@@ -91,6 +91,8 @@ class TestGenerate:
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigError):
+            generate(small_config(seed=-1))
+        with pytest.raises(ConfigError):
             generate(small_config(signal_fraction=0.0))
         with pytest.raises(ConfigError):
             generate(small_config(noise_std=0.0))
@@ -203,6 +205,16 @@ class TestBagDirectory:
         manifest.write_text(text)
         with pytest.raises(SchemaMismatchError):
             read_bags(tmp_path / "d")
+
+    @pytest.mark.parametrize("ids", [("", "b"), ("a b", "c"), ("a", "a"), (None, "b")])
+    def test_bad_or_repeated_ids_rejected_on_write(self, tmp_path, ids):
+        bags = generate(small_config(n_bags=2))
+        for bag, bag_id in zip(bags, ids):
+            bag.bag_id = bag_id
+        with pytest.raises(ConfigError) as err:
+            write_bags(bags, tmp_path / "d", TWO_TASKS)
+        assert repr(ids[0]) in str(err.value)
+        assert not (tmp_path / "d" / "manifest").exists()
 
     def test_empty_bag_rejected_at_construction(self):
         with pytest.raises(ConfigError):

@@ -167,6 +167,7 @@ class TestTrain:
             TrainConfig(lambdas=(0.0, 0.0)),
             TrainConfig(variant="fancy"),
             TrainConfig(batch_size=0),
+            TrainConfig(seed=-1),
         ):
             with pytest.raises(ConfigError):
                 train(bags, [], SCHEMA, bad)
