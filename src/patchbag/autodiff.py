@@ -75,15 +75,18 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Element-wise product of same-shape tensors."""
-    if a.data.shape != b.data.shape:
+    """Element-wise product; b may also be an (M, 1) column scaling a's rows."""
+    column = a.data.ndim == 2 and b.data.shape == (a.data.shape[0], 1)
+    if a.data.shape != b.data.shape and not column:
         raise DimensionError(f"mul: shapes {a.data.shape} and {b.data.shape} differ")
 
     def backward_fn(g):
         if a.requires_grad:
             a._accumulate(g * b.data)
         if b.requires_grad:
-            b._accumulate(g * a.data)
+            gb = g * a.data
+            b._accumulate(gb if gb.shape == b.data.shape
+                          else np.sum(gb, axis=1, keepdims=True))
 
     return _result(a.data * b.data, (a, b), backward_fn)
 
@@ -137,15 +140,29 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     return _result(y, (x,), backward_fn)
 
 
-def log(x: Tensor, floor: float = LOG_FLOOR) -> Tensor:
-    """Natural log with the argument clamped below at `floor`."""
-    clamped = np.maximum(x.data, floor)
+def weighted_nll(probs, labels, weights, floor: float = LOG_FLOOR) -> Tensor:
+    """Scalar sum over k of weights[k] * sum over i of -log p_ik[label_ik].
+
+    probs[k][i] is a (1, C_k) probability row and labels an (N, K) array of
+    class indices. Probabilities are clamped below at `floor`, where the
+    log is flat and so passes back no gradient. Both sums run in order.
+    """
+    parents = [p for task in probs for p in task]
+    x = np.array([[p.data[0, label] for p, label in zip(task, labels[:, k])]
+                  for k, task in enumerate(probs)])              # (K, N)
+    clamped = np.maximum(x, floor)
+    weights = np.asarray(weights, dtype=np.float64)
+    terms = np.cumsum(-np.log(clamped), axis=1)[:, -1]
+    total = np.cumsum(terms * weights)[-1]
 
     def backward_fn(g):
-        # the clamped region is constant, so its derivative is zero
-        x._accumulate(np.where(x.data > floor, g / clamped, 0.0))
+        grads = np.where(x > floor, -(g * weights)[:, None] / clamped, 0.0)
+        for p, label, grad in zip(parents, labels.T.ravel(), grads.ravel()):
+            row = np.zeros_like(p.data)
+            row[0, label] = grad
+            p._accumulate(row)
 
-    return _result(np.log(clamped), (x,), backward_fn)
+    return _result(total, parents, backward_fn)
 
 
 def tensor_sum(x: Tensor) -> Tensor:
@@ -174,17 +191,6 @@ def transpose(x: Tensor) -> Tensor:
         x._accumulate(g.T)
 
     return _result(np.ascontiguousarray(x.data.T), (x,), backward_fn)
-
-
-def tile_cols(x: Tensor, n: int) -> Tensor:
-    """Duplicate a column vector (M, 1) into an (M, n) matrix."""
-    if x.data.ndim != 2 or x.data.shape[1] != 1:
-        raise DimensionError(f"tile_cols: expected (M, 1), got shape {x.data.shape}")
-
-    def backward_fn(g):
-        x._accumulate(np.sum(g, axis=1, keepdims=True))
-
-    return _result(np.repeat(x.data, n, axis=1), (x,), backward_fn)
 
 
 def concat(parts, axis: int = 1) -> Tensor:

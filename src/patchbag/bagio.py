@@ -25,6 +25,16 @@ BLOB_NAME = "features.bin"
 MANIFEST_NAME = "manifest"
 
 
+_ID_RULE = "must be non-empty and hold only letters, digits, '-', '_' and '.'"
+
+
+def _id_is_file_name(bag_id) -> bool:
+    """Manifests store ids as whitespace-split tokens, and export-attention
+    writes one file per id, named after it unchanged."""
+    return (isinstance(bag_id, str) and bag_id != ""
+            and all(c.isalnum() or c in "-_." for c in bag_id))
+
+
 def write_bags(dataset, directory, schema: TagSchema) -> None:
     if not dataset:
         raise ConfigError("write_bags: empty dataset")
@@ -42,12 +52,8 @@ def write_bags(dataset, directory, schema: TagSchema) -> None:
     chunks = []
     seen = set()
     for bag in dataset:
-        # the manifest stores ids as whitespace-split tokens, and export
-        # names one file per id
-        if not isinstance(bag.bag_id, str) or bag.bag_id.split() != [bag.bag_id]:
-            raise ConfigError(
-                f"write_bags: bag id {bag.bag_id!r} must be non-empty text "
-                "without whitespace")
+        if not _id_is_file_name(bag.bag_id):
+            raise ConfigError(f"write_bags: bag id {bag.bag_id!r} {_ID_RULE}")
         if bag.bag_id in seen:
             raise ConfigError(f"write_bags: duplicate bag id {bag.bag_id!r}")
         seen.add(bag.bag_id)
@@ -120,6 +126,8 @@ def read_bags(directory):
         if len(toks) < 4 or toks[0] != "bag":
             raise ParseError(f"{path}: bad bag line {line!r}")
         bag_id = toks[1]
+        if not _id_is_file_name(bag_id):
+            raise ParseError(f"{path}: bag id {bag_id!r} {_ID_RULE}")
         if bag_id in ids:
             raise ParseError(f"{path}: duplicate bag id {bag_id!r}")
         ids.add(bag_id)
@@ -127,6 +135,8 @@ def read_bags(directory):
         if len(fields) != len(toks) - 2:
             raise ParseError(f"{path}: bad or repeated key=value in line {line!r}")
         n_patches = header_int(path, fields.pop("patches", ""), f"bag {bag_id} patches")
+        if n_patches < 1:
+            raise ParseError(f"{path}: bag {bag_id!r} declares patches=0")
         offset = header_int(path, fields.pop("offset", ""), f"bag {bag_id} offset")
 
         labels = [None] * schema.n_tasks

@@ -14,7 +14,6 @@ All stages are built from the autodiff primitives, so one backward sweep
 trains every matrix jointly.
 """
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -176,16 +175,13 @@ class AttentionRecord:
     tag_weights: list = field(default_factory=list)   # n_tasks arrays of (M,)
 
 
-def _init_matrix(rng, rows, cols):
-    bound = math.sqrt(1.0 / rows)
-    return Tensor(rng.uniform(-bound, bound, size=(rows, cols)), requires_grad=True)
-
-
 class ModelParams:
     """All trainable matrices, plus the dims/schema/variant that shape them.
 
-    Immutable during inference: forward never writes to parameter data.
-    Training is the single writer.
+    Every matrix is a view into one contiguous float64 vector, `flat`, laid
+    out in named_parameters() order, so copies, checkpoints and optimizer
+    steps each touch one array. Immutable during inference: forward never
+    writes to parameter data. Training is the single writer.
     """
 
     def __init__(self, schema: TagSchema, dims: ModelDims, variant: str, seed: int):
@@ -201,59 +197,58 @@ class ModelParams:
         self.dims = dims
         self.variant = variant
         self.seed = seed
-        self.heads = []       # per head: dict of name -> Tensor
-        self.proj = None      # shared output projection, None when n_heads == 0
-        self.tag_gates = []   # per task: (attn_proj, attn_score)
-        self.classifiers = [] # per task: feature_dim x n_classes
 
-        rng = np.random.default_rng(seed)
         D = dims.feature_dim
+        head_keys = ()
+        draws = []            # (name, rows, cols) in the order the RNG fills them
         if dims.n_heads > 0:
             if variant == "gated":
-                for _ in range(dims.n_heads):
-                    self.heads.append({
-                        "gate_proj": _init_matrix(rng, D, dims.attn_hidden),
-                        "gate_score": _init_matrix(rng, dims.attn_hidden, 1),
-                    })
-                self.proj = _init_matrix(rng, dims.n_heads * D, D)
+                head_keys = (("gate_proj", D, dims.attn_hidden),
+                             ("gate_score", dims.attn_hidden, 1))
+                proj_rows = dims.n_heads * D
             else:
                 d_head = D // dims.n_heads
-                for _ in range(dims.n_heads):
-                    self.heads.append({
-                        "query": _init_matrix(rng, D, d_head),
-                        "key": _init_matrix(rng, D, d_head),
-                        "value": _init_matrix(rng, D, d_head),
-                    })
-                self.proj = _init_matrix(rng, D, D)
-        for n_classes in schema.class_counts:
-            self.tag_gates.append(
-                (_init_matrix(rng, D, dims.tag_hidden),
-                 _init_matrix(rng, dims.tag_hidden, 1))
-            )
-            self.classifiers.append(_init_matrix(rng, D, n_classes))
+                head_keys = tuple((key, D, d_head) for key in ("query", "key", "value"))
+                proj_rows = D
+            for i in range(dims.n_heads):
+                draws += [(f"head{i}.{key}", rows, cols) for key, rows, cols in head_keys]
+            draws.append(("proj", proj_rows, D))
+        for k, n_classes in enumerate(schema.class_counts):
+            draws += [(f"tag{k}.gate_proj", D, dims.tag_hidden),
+                      (f"tag{k}.gate_score", dims.tag_hidden, 1),
+                      (f"tag{k}.classify", D, n_classes)]
+        # named_parameters() order: every classifier after every tag gate
+        layout = sorted(draws, key=lambda d: d[0].endswith(".classify"))
+        self.flat = np.empty(sum(rows * cols for _, rows, cols in layout))
+        self._named = {}
+        offset = 0
+        for name, rows, cols in layout:
+            view = self.flat[offset:offset + rows * cols].reshape(rows, cols)
+            self._named[name] = Tensor(view, requires_grad=True)
+            offset += rows * cols
+        rng = np.random.default_rng(seed)
+        for name, rows, cols in draws:
+            bound = math.sqrt(1.0 / rows)
+            self._named[name].data[...] = rng.uniform(-bound, bound, size=(rows, cols))
+
+        t = self._named
+        self.heads = [{key: t[f"head{i}.{key}"] for key, _, _ in head_keys}
+                      for i in range(dims.n_heads)]
+        self.proj = t.get("proj")   # shared output projection, None when n_heads == 0
+        self.tag_gates = [(t[f"tag{k}.gate_proj"], t[f"tag{k}.gate_score"])
+                          for k in range(schema.n_tasks)]
+        self.classifiers = [t[f"tag{k}.classify"] for k in range(schema.n_tasks)]
 
     def named_parameters(self):
-        """All matrices in a fixed order (also the checkpoint blob order)."""
-        out = []
-        for i, head in enumerate(self.heads):
-            for key, t in head.items():
-                out.append((f"head{i}.{key}", t))
-        if self.proj is not None:
-            out.append(("proj", self.proj))
-        for k, (gate_proj, gate_score) in enumerate(self.tag_gates):
-            out.append((f"tag{k}.gate_proj", gate_proj))
-            out.append((f"tag{k}.gate_score", gate_score))
-        for k, w in enumerate(self.classifiers):
-            out.append((f"tag{k}.classify", w))
-        return out
+        """All matrices in a fixed order (also the layout of `flat`)."""
+        return list(self._named.items())
 
     def parameters(self):
-        return [t for _, t in self.named_parameters()]
+        return list(self._named.values())
 
     def copy(self) -> "ModelParams":
         dup = ModelParams(self.schema, self.dims, self.variant, self.seed)
-        for (_, src), (_, dst) in zip(self.named_parameters(), dup.named_parameters()):
-            dst.data[...] = src.data
+        dup.flat[...] = self.flat
         return dup
 
 
@@ -275,7 +270,7 @@ def head_feature(V: Tensor, a: Tensor) -> Tensor:
         raise DimensionError(
             f"head_feature: weights {a.data.shape} do not match bag {V.data.shape}"
         )
-    return ad.mul(V, ad.tile_cols(a, V.data.shape[1]))
+    return ad.mul(V, a)
 
 
 def patch_transform(V: Tensor, params: ModelParams):
@@ -383,8 +378,8 @@ def predict_probs(bag, params: ModelParams):
 # checkpoint I/O
 #
 # One file: a UTF-8 key-value manifest terminated by an `end` line, then the
-# raw little-endian float64 blobs of every matrix concatenated in
-# named_parameters() order. Round-trips are bit-exact.
+# raw little-endian float64 bytes of ModelParams.flat, which holds every
+# matrix in named_parameters() order. Round-trips are bit-exact.
 # ---------------------------------------------------------------------------
 
 
@@ -399,17 +394,12 @@ def save_checkpoint(params: ModelParams, path) -> None:
         f"heads {params.dims.n_heads}",
     ]
     lines.extend(params.schema.manifest_lines())
-    named = params.named_parameters()
-    for name, t in named:
-        rows, cols = t.data.shape
-        lines.append(f"matrix {name} {rows} {cols}")
+    lines.extend(f"matrix {name} {t.data.shape[0]} {t.data.shape[1]}"
+                 for name, t in params.named_parameters())
     lines.append("end")
-    buf = io.BytesIO()
-    buf.write(("\n".join(lines) + "\n").encode("utf-8"))
-    for _, t in named:
-        buf.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    header = ("\n".join(lines) + "\n").encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        fh.write(header + params.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -457,21 +447,17 @@ def load_checkpoint(path) -> ModelParams:
     )
     params = ModelParams(schema, dims, fields["variant"], ints["seed"])
 
-    named = params.named_parameters()
-    if [m[0] for m in matrices] != [n for n, _ in named]:
+    layout = [(name, *t.data.shape) for name, t in params.named_parameters()]
+    if [m[0] for m in matrices] != [m[0] for m in layout]:
         raise ParseError(f"{path}: matrix list does not match declared dims/variant")
     expected = sum(rows * cols for _, rows, cols in matrices) * 8
     if len(blob) != expected:
         raise IntegrityError(
             f"{path}: blob is {len(blob)} bytes, manifest declares {expected}"
         )
-    offset = 0
-    for (name, rows, cols), (_, tensor) in zip(matrices, named):
-        if tensor.data.shape != (rows, cols):
+    for (name, rows, cols), want in zip(matrices, layout):
+        if (name, rows, cols) != want:
             raise ParseError(f"{path}: matrix {name} has shape {rows}x{cols}, "
-                             f"expected {tensor.data.shape}")
-        count = rows * cols
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        tensor.data = np.ascontiguousarray(arr.reshape(rows, cols), dtype=np.float64)
-        offset += count * 8
+                             f"expected {want[1:]}")
+    params.flat[...] = np.frombuffer(blob, dtype="<f8")
     return params

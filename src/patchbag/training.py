@@ -77,59 +77,62 @@ def multi_task_loss(probs_per_task, labels, lambdas) -> Tensor:
         raise ContractError(
             f"multi_task_loss: labels {labels.shape} vs {n_tasks} tasks"
         )
-    total = None
-    for k in range(n_tasks):
-        task_probs = probs_per_task[k]
+    for k, task_probs in enumerate(probs_per_task):
         if len(task_probs) != n:
             raise ContractError(
                 f"multi_task_loss: task {k} has {len(task_probs)} prob rows "
                 f"for {n} labels"
             )
-        term = None
-        for i, p in enumerate(task_probs):
+        for p, label in zip(task_probs, labels[:, k]):
             n_classes = p.data.shape[1]
-            label = labels[i, k]
             if not (0 <= label < n_classes):
                 raise ContractError(
                     f"multi_task_loss: label {label} out of range "
                     f"[0, {n_classes}) for task {k}"
                 )
-            onehot = np.zeros((1, n_classes))
-            onehot[0, label] = 1.0
-            nll = ad.scale(ad.tensor_sum(ad.mul(ad.log(p), Tensor(onehot))), -1.0)
-            term = nll if term is None else ad.add(term, nll)
-        weighted = ad.scale(term, lambdas[k] / n)
-        total = weighted if total is None else ad.add(total, weighted)
-    return total
+    return ad.weighted_nll(probs_per_task, labels, [lam / n for lam in lambdas])
 
 
 class Adam:
-    """Adam with bias correction; update = -lr * m_hat / (sqrt(v_hat) + eps)."""
+    """Adam with bias correction; update = -lr * m_hat / (sqrt(v_hat) + eps).
 
-    def __init__(self, named_params, lr=1e-4, beta1=0.9, beta2=0.999, epsilon=1e-8):
-        self.named = list(named_params)
+    Updates params.flat in place, where `params` is a ModelParams (or any
+    object whose named_parameters() matrices are views into its `flat`).
+    Each step reuses buffers made here, so it allocates no array.
+    """
+
+    def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, epsilon=1e-8):
+        self.params = params
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
         self.t = 0
-        self.m = [np.zeros_like(t.data) for _, t in self.named]
-        self.v = [np.zeros_like(t.data) for _, t in self.named]
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
+        self._g, self._num, self._den = (np.empty_like(params.flat) for _ in range(3))
 
     def step(self) -> None:
         self.t += 1
-        for i, (name, p) in enumerate(self.named):
-            if p.grad is None:
-                raise ContractError(f"adam: parameter {name!r} has no gradient")
-            g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1 ** self.t)
-            v_hat = self.v[i] / (1 - self.beta2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        named = self.params.named_parameters()
+        missing = [name for name, p in named if p.grad is None]
+        if missing:
+            raise ContractError(f"adam: parameter {missing[0]!r} has no gradient")
+        g, num, den = self._g, self._num, self._den
+        np.concatenate([p.grad for _, p in named], axis=None, out=g)
+        self.m *= self.beta1
+        self.m += np.multiply(g, 1 - self.beta1, out=num)
+        self.v *= self.beta2
+        self.v += np.multiply(np.multiply(g, 1 - self.beta2, out=num), g, out=num)
+        np.divide(self.m, 1 - self.beta1 ** self.t, out=num)   # m_hat
+        num *= self.lr
+        np.divide(self.v, 1 - self.beta2 ** self.t, out=den)   # v_hat
+        np.sqrt(den, out=den)
+        den += self.epsilon
+        self.params.flat -= np.divide(num, den, out=num)
 
     def zero_grad(self) -> None:
-        for _, p in self.named:
+        for _, p in self.params.named_parameters():
             p.zero_grad()
 
 
@@ -187,7 +190,7 @@ def train(train_bags, val_bags, schema: TagSchema, config: TrainConfig) -> Train
     )
     params = ModelParams(schema, dims, config.variant, config.seed)
     lambdas = config.task_lambdas(schema.n_tasks)
-    adam = Adam(params.named_parameters(), lr=config.lr, beta1=config.beta1,
+    adam = Adam(params, lr=config.lr, beta1=config.beta1,
                 beta2=config.beta2, epsilon=config.epsilon)
     shuffle_rng = np.random.default_rng(
         np.random.SeedSequence(config.seed).spawn(1)[0]
@@ -266,15 +269,9 @@ def write_history_csv(history, schema: TagSchema, path) -> None:
         fh.write("\n".join(history_csv_lines(history, schema)) + "\n")
 
 
-def _safe_name(bag_id: str) -> str:
-    return "".join(c if (c.isalnum() or c in "-_.") else "_" for c in bag_id)
-
-
 def rank_patches(weights):
     """Indices sorted by weight descending, ties broken by patch index."""
-    weights = np.asarray(weights)
-    idx = np.arange(len(weights))
-    return idx[np.lexsort((idx, -weights))]
+    return np.argsort(-np.asarray(weights), kind="stable")
 
 
 def export_attention(params: ModelParams, bags, out_dir, svg: bool = False):
@@ -288,17 +285,17 @@ def export_attention(params: ModelParams, bags, out_dir, svg: bool = False):
     written = []
     for bag in bags:
         _, record = predict_probs(bag, params)
-        name = _safe_name(bag.bag_id)
-        path = os.path.join(out_dir, f"attention_{name}.csv")
+        path = os.path.join(out_dir, f"attention_{bag.bag_id}.csv")
         lines = ["task,rank,patch_index,weight"]
         for task, weights in zip(schema.task_names, record.tag_weights):
-            for rank, patch in enumerate(rank_patches(weights)):
-                lines.append(f"{task},{rank},{patch},{float(weights[patch])!r}")
+            order = rank_patches(weights)
+            lines.extend(f"{task},{rank},{patch},{weight!r}" for rank, (patch, weight)
+                         in enumerate(zip(order.tolist(), weights[order].tolist())))
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
         written.append(path)
         if svg:
-            svg_path = os.path.join(out_dir, f"attention_{name}.svg")
+            svg_path = os.path.join(out_dir, f"attention_{bag.bag_id}.svg")
             with open(svg_path, "w", encoding="utf-8") as fh:
                 fh.write(attention_bars_svg(record.tag_weights, schema.task_names))
             written.append(svg_path)

@@ -120,6 +120,24 @@ class TestElementwise:
             lambda: ad.tensor_sum(ad.mul(a, b)), [a, b], rel=1e-6
         )
 
+    def test_mul_column_scales_each_row(self):
+        a = Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        out = ad.mul(a, Tensor([[2.0], [-1.0]]))
+        np.testing.assert_array_equal(out.data, [[2, 4, 6], [-4, -5, -6]])
+        with pytest.raises(DimensionError):
+            ad.mul(a, Tensor(np.ones((3, 1))))
+        with pytest.raises(DimensionError):
+            ad.mul(a, Tensor(np.ones((1, 3))))
+
+    def test_mul_column_backward_matches_finite_differences(self):
+        rng = np.random.default_rng(19)
+        a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        col = Tensor(rng.normal(size=(4, 1)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3)))
+        assert_grads_match(
+            lambda: ad.tensor_sum(ad.mul(ad.mul(a, col), w)), [a, col], rel=1e-6
+        )
+
     def test_tanh_backward_matches_finite_differences(self):
         rng = np.random.default_rng(17)
         x = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
@@ -164,7 +182,8 @@ class TestBackward:
             mid = ad.tanh(ad.matmul(a, b))
             out = ad.mul(ad.relu(mid), w)
             probs = ad.softmax(out, axis=1)
-            loss = ad.tensor_sum(ad.log(probs))
+            mean_row = ad.matmul(Tensor(np.full((1, 4), 0.25)), probs)
+            loss = ad.weighted_nll([[mean_row]], np.array([[2]]), [1.0])
             ad.backward(loss)
             for t in (a, b, w, mid, out, probs, loss):
                 assert np.all(np.isfinite(t.data))
@@ -183,13 +202,6 @@ class TestSupportOps:
             rel=1e-6,
         )
 
-    def test_tile_cols_values_and_gradient(self):
-        col = Tensor([[1.0], [2.0]], requires_grad=True)
-        tiled = ad.tile_cols(col, 3)
-        np.testing.assert_array_equal(tiled.data, [[1, 1, 1], [2, 2, 2]])
-        ad.backward(ad.tensor_sum(tiled))
-        np.testing.assert_array_equal(col.grad, [[3.0], [3.0]])
-
     def test_transpose_gradient(self):
         rng = np.random.default_rng(31)
         x = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
@@ -198,10 +210,39 @@ class TestSupportOps:
             lambda: ad.tensor_sum(ad.mul(ad.transpose(x), w)), [x], rel=1e-6
         )
 
-    def test_log_floor_clamps_value_and_gradient(self):
-        x = Tensor([[1e-20], [1.0]], requires_grad=True)
-        out = ad.log(x)
-        assert out.data[0, 0] == math.log(1e-12)
-        ad.backward(ad.tensor_sum(out))
-        assert x.grad[0, 0] == 0.0       # clamped region is flat
-        assert x.grad[1, 0] == 1.0
+
+class TestWeightedNll:
+    def test_value_and_gradient_of_one_row(self):
+        p = Tensor([[0.25, 0.75]], requires_grad=True)
+        loss = ad.weighted_nll([[p]], np.array([[1]]), [2.0])
+        assert float(loss.data) == -2.0 * math.log(0.75)
+        ad.backward(loss)
+        np.testing.assert_array_equal(p.grad, [[0.0, -2.0 / 0.75]])
+
+    def test_floor_clamps_value_and_zeroes_gradient(self):
+        p = Tensor([[1e-20, 1.0]], requires_grad=True)
+        loss = ad.weighted_nll([[p]], np.array([[0]]), [1.0])
+        assert float(loss.data) == -math.log(1e-12)
+        ad.backward(loss)
+        np.testing.assert_array_equal(p.grad, [[0.0, 0.0]])
+
+    def test_two_tasks_batch_three_matches_finite_differences(self):
+        # task 0 weighs 1.3, task 1 weighs 0; bag 1's task-0 label gets a
+        # probability near e**-40, below the 1e-12 floor, where the loss is flat
+        rng = np.random.default_rng(37)
+        logits = [[Tensor(rng.normal(size=(1, c)), requires_grad=True)
+                   for _ in range(3)] for c in (3, 4)]
+        labels = np.array([[0, 3], [2, 1], [1, 0]])
+        logits[0][1].data[0] = [0.0, 0.0, -40.0]
+        leaves = [t for task in logits for t in task]
+
+        def loss_builder():
+            probs = [[ad.softmax(t, axis=1) for t in task] for task in logits]
+            return ad.weighted_nll(probs, labels, [1.3, 0.0])
+
+        probs = [[ad.softmax(t, axis=1) for t in task] for task in logits]
+        assert probs[0][1].data[0, 2] < ad.LOG_FLOOR
+        assert_grads_match(loss_builder, leaves, rel=1e-6, abs_=1e-10)
+        for t in logits[1] + [logits[0][1]]:
+            np.testing.assert_array_equal(t.grad, np.zeros_like(t.data))
+        assert np.all(logits[0][0].grad != 0.0)

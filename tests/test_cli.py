@@ -351,7 +351,7 @@ def world(tmp_path_factory):
     dims = ModelDims(feature_dim=8, attn_hidden=4, tag_hidden=4, n_heads=1)
     params = ModelParams(read_bags(data)[1], dims, "gated", 0)
     save_checkpoint(params, root / "model.ckpt")
-    for name in ("slide.ppm", "my slide.ppm", "a/dup.ppm", "b/dup.ppm"):
+    for name in ("slide.ppm", "my slide.ppm", "a/dup.ppm", "b/dup.ppm", "a:b.ppm"):
         (root / name).parent.mkdir(exist_ok=True)
         TestPreprocessCommand().make_slide(root, name=name)
     return root
@@ -408,6 +408,12 @@ BAD_INPUTS = [
     bad("bag-id-space", "preprocess", "'my slide'", slides=["my slide.ppm"]),
     bad("bag-id-repeated", "preprocess", "'dup'",
         slides=["a/dup.ppm", "b/dup.ppm"]),
+    # export-attention names one file per id: `a:b` must not pass as `a_b`
+    bad("bag-id-colon", "preprocess", "'a:b'", slides=["a:b.ppm"]),
+    bad("manifest-bag-id-colon", "export-attention", "'a:b'", code=4,
+        edit=(b"bag bag00000 ", b"bag a:b ")),
+    bad("manifest-zero-patches", "train", "patches=0", code=4,
+        edit=(b" patches=6 offset=0 ", b" patches=0 offset=0 ")),
 ]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 
@@ -354,6 +355,38 @@ class TestCopy:
             assert t.data.tobytes() == want.tobytes()
 
 
+class TestFlat:
+    @pytest.mark.parametrize("variant,heads", TestCopy.VARIANTS)
+    def test_flat_and_named_matrices_alias(self, variant, heads):
+        params = TestCopy().trained_looking(variant, heads)
+        named = params.parameters()
+        assert params.flat.size == sum(t.data.size for t in named)
+        assert params.flat.tobytes() == b"".join(t.data.tobytes() for t in named)
+        params.flat[...] = np.arange(params.flat.size)
+        offset = 0
+        for t in named:
+            assert np.shares_memory(t.data, params.flat)
+            np.testing.assert_array_equal(
+                t.data.ravel(), np.arange(offset, offset + t.data.size))
+            offset += t.data.size
+        named[-1].data[...] = -1.0
+        assert np.all(params.flat[-named[-1].data.size:] == -1.0)
+
+    # sha256 of the untrained checkpoints written before the parameters moved
+    # into one vector: the init draws and the blob layout must not change
+    @pytest.mark.parametrize("variant,heads,digest", [
+        ("gated", 3, "a2962dd302baf6cf1f6f9d14ee49199b5e647e67b92e7c445ce3887d090961d8"),
+        ("gated", 0, "2aa6112ca3cf7eb06a7858fd849e6ff4f47f0ff27c990abf64fd32a56ebd42a2"),
+        ("sdpa", 2, "86b22b43f2988eed40dafd5783f91928da4dd523c342029f8b8815e3dc1c47bf"),
+    ])
+    def test_untrained_checkpoint_bytes_are_pinned(self, tmp_path, variant, heads,
+                                                   digest):
+        dims = ModelDims(feature_dim=6, attn_hidden=4, tag_hidden=3, n_heads=heads)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ModelParams(SMALL_SCHEMA, dims, variant, seed=9), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize("variant,heads", [("gated", 3), ("sdpa", 2), ("gated", 0)])
     def test_round_trip_is_bit_exact(self, tmp_path, variant, heads):
@@ -370,6 +403,7 @@ class TestCheckpoint:
                                             loaded.named_parameters()):
             assert name_a == name_b
             assert a.data.tobytes() == b.data.tobytes()
+            assert np.shares_memory(b.data, loaded.flat)
 
     def test_double_save_identical_bytes(self, tmp_path):
         params = small_params()

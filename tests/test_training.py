@@ -76,17 +76,29 @@ class TestMultiTaskLoss:
             multi_task_loss(probs, [[2]], (1.0,))
 
 
+class OneWeight:
+    """The smallest thing Adam trains: one 1x1 matrix `w` viewing `flat`."""
+
+    def __init__(self, value):
+        self.flat = np.array([value])
+        self.w = Tensor(self.flat.reshape(1, 1), requires_grad=True)
+
+    def named_parameters(self):
+        return [("w", self.w)]
+
+
 class TestAdam:
     def test_defaults_match_training_settings(self):
         config = TrainConfig()
         assert (config.lr, config.beta1, config.beta2) == (1e-4, 0.9, 0.999)
-        adam = Adam([("w", Tensor([[1.0]], requires_grad=True))])
+        adam = Adam(OneWeight(1.0))
         assert (adam.lr, adam.beta1, adam.beta2, adam.epsilon) == \
             (1e-4, 0.9, 0.999, 1e-8)
 
     def test_zero_gradient_leaves_params_and_decays_moments(self):
-        w = Tensor([[2.0]], requires_grad=True)
-        adam = Adam([("w", w)], lr=0.1)
+        params = OneWeight(2.0)
+        w = params.w
+        adam = Adam(params, lr=0.1)
         w.grad = np.array([[1.0]])
         adam.step()
         after_first = w.data.copy()
@@ -96,8 +108,9 @@ class TestAdam:
         np.testing.assert_allclose(adam.m[0], 0.9 * m1)
         np.testing.assert_allclose(adam.v[0], 0.999 * v1)
         # fresh moments case: zero grad from the start moves nothing
-        w2 = Tensor([[5.0]], requires_grad=True)
-        adam2 = Adam([("w", w2)], lr=0.1)
+        params2 = OneWeight(5.0)
+        w2 = params2.w
+        adam2 = Adam(params2, lr=0.1)
         w2.grad = np.array([[0.0]])
         adam2.step()
         np.testing.assert_array_equal(w2.data, [[5.0]])
@@ -105,8 +118,9 @@ class TestAdam:
 
     def test_single_scalar_first_step_update(self):
         lr = 1e-3
-        w = Tensor([[0.0]], requires_grad=True)
-        adam = Adam([("w", w)], lr=lr)
+        params = OneWeight(0.0)
+        w = params.w
+        adam = Adam(params, lr=lr)
         w.grad = np.array([[1.0]])
         adam.step()
         # hand-evaluated recurrence: m_hat = v_hat = 1 at t = 1
@@ -114,8 +128,29 @@ class TestAdam:
         np.testing.assert_allclose(w.data, [[expected]], rtol=1e-15)
         assert abs(w.data[0, 0] + lr) < 1e-10
 
+    def test_steps_match_the_textbook_expression_bit_for_bit(self):
+        dims = ModelDims(feature_dim=10, attn_hidden=4, tag_hidden=4, n_heads=2)
+        params = ModelParams(SCHEMA, dims, "gated", seed=3)
+        adam = Adam(params, lr=0.01)
+        flat, m0, v0 = params.flat, adam.m, adam.v
+        want, m, v = params.flat.copy(), 0.0, 0.0
+        rng = np.random.default_rng(8)
+        for t in (1, 2, 3):
+            grads = [rng.standard_normal(p.data.shape) for _, p in params.named_parameters()]
+            for (_, p), g in zip(params.named_parameters(), grads):
+                p.grad = g
+            adam.step()
+            g = np.concatenate([g.ravel() for g in grads])
+            m = 0.9 * m + (1 - 0.9) * g
+            v = 0.999 * v + (1 - 0.999) * g * g
+            want -= 0.01 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
+            assert params.flat.tobytes() == want.tobytes()
+        # updated in place: the matrices still view `flat`, moments keep their buffers
+        assert params.flat is flat and adam.m is m0 and adam.v is v0
+        assert all(np.shares_memory(t.data, flat) for _, t in params.named_parameters())
+
     def test_missing_gradient_rejected(self):
-        adam = Adam([("w", Tensor([[1.0]], requires_grad=True))])
+        adam = Adam(OneWeight(1.0))
         with pytest.raises(ContractError):
             adam.step()
 
@@ -217,6 +252,14 @@ class TestRanking:
         ranked = rank_patches(w)
         assert ranked[0] == 7
         np.testing.assert_array_equal(ranked[1:], [0, 1, 2, 3, 4, 5, 6, 8, 9])
+
+    def test_ties_keep_patch_order_like_a_two_key_sort(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            w = rng.choice([0.1, 0.25, 0.4], size=rng.integers(1, 30))
+            idx = np.arange(len(w))
+            np.testing.assert_array_equal(rank_patches(w),
+                                          idx[np.lexsort((idx, -w))])
 
     def test_export_matches_forward_record_bit_exact(self, tmp_path):
         bags = tiny_dataset(n_bags=3)
