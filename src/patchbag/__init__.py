@@ -1,9 +1,10 @@
 """patchbag: multi-head gated patch attention for multi-tag bag classification.
 
-A desk-scale numpy stack: a small reverse-mode autodiff engine, the gated /
-scaled-dot-product attention model with per-task attention pooling, a
-synthetic patch-bag generator, an image preprocessing path (Otsu masking,
-patch sampling, augmentation, featurizing), multi-task training with Adam,
+A desk-scale numpy stack: the gated / scaled-dot-product attention model
+with per-task attention pooling, each layer one graph node with a
+hand-written backward that a small reverse sweep runs; a synthetic
+patch-bag generator, an image preprocessing path (Otsu masking, patch
+sampling, augmentation, featurizing), multi-task training with Adam,
 Macro/Micro F1 evaluation, and attention-ranking export.
 """
 
@@ -18,7 +19,6 @@ from .model import (
     TagSchema,
     forward,
     head_attention,
-    head_feature,
     load_checkpoint,
     patch_transform,
     predict_probs,

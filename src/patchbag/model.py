@@ -10,8 +10,8 @@ A bag of M patch feature rows V (M x D) flows through:
      task-specific summary vector per tagging task;
   3. per-task softmax classifiers.
 
-All stages are built from the autodiff primitives, so one backward sweep
-trains every matrix jointly.
+Each layer is one autodiff graph node with a backward written by hand in
+numpy, so one backward sweep trains every matrix jointly.
 """
 
 import math
@@ -23,6 +23,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import (
     ConfigError,
+    ContractError,
     DimensionError,
     EmptyBagError,
     IntegrityError,
@@ -185,6 +186,14 @@ class ModelParams:
     """
 
     def __init__(self, schema: TagSchema, dims: ModelDims, variant: str, seed: int):
+        draws = self._lay_out(schema, dims, variant, seed)
+        rng = np.random.default_rng(seed)
+        for name, rows, cols in draws:
+            bound = math.sqrt(1.0 / rows)
+            self._named[name].data[...] = rng.uniform(-bound, bound, size=(rows, cols))
+
+    def _lay_out(self, schema, dims, variant, seed):
+        """Set up an unfilled `flat` and its named views; returns the init draws."""
         if variant not in ("gated", "sdpa"):
             raise ConfigError(f"variant: must be 'gated' or 'sdpa', got {variant!r}")
         if variant == "sdpa" and dims.n_heads > 0:
@@ -226,11 +235,6 @@ class ModelParams:
             view = self.flat[offset:offset + rows * cols].reshape(rows, cols)
             self._named[name] = Tensor(view, requires_grad=True)
             offset += rows * cols
-        rng = np.random.default_rng(seed)
-        for name, rows, cols in draws:
-            bound = math.sqrt(1.0 / rows)
-            self._named[name].data[...] = rng.uniform(-bound, bound, size=(rows, cols))
-
         t = self._named
         self.heads = [{key: t[f"head{i}.{key}"] for key, _, _ in head_keys}
                       for i in range(dims.n_heads)]
@@ -238,6 +242,7 @@ class ModelParams:
         self.tag_gates = [(t[f"tag{k}.gate_proj"], t[f"tag{k}.gate_score"])
                           for k in range(schema.n_tasks)]
         self.classifiers = [t[f"tag{k}.classify"] for k in range(schema.n_tasks)]
+        return draws
 
     def named_parameters(self):
         """All matrices in a fixed order (also the layout of `flat`)."""
@@ -247,9 +252,31 @@ class ModelParams:
         return list(self._named.values())
 
     def copy(self) -> "ModelParams":
-        dup = ModelParams(self.schema, self.dims, self.variant, self.seed)
+        dup = ModelParams.__new__(ModelParams)      # no init draws to overwrite
+        dup._lay_out(self.schema, self.dims, self.variant, self.seed)
         dup.flat[...] = self.flat
         return dup
+
+
+def _gate(V: Tensor, gate_proj: Tensor, gate_score: Tensor):
+    """One attention gate over the M rows of V: softmax of tanh(V W) w.
+
+    Returns the (M, 1) weights and the function that routes the gradient
+    at those weights back to V and the gate's two matrices.
+    """
+    hidden = np.tanh(V.data @ gate_proj.data)
+    a = ad.softmax(hidden @ gate_score.data, axis=0)
+
+    def backward_fn(g):
+        g_logits = ad.softmax_grad(a, g, axis=0)
+        g_hidden = g_logits @ gate_score.data.T
+        gate_score._accumulate(hidden.T @ g_logits)
+        g_pre = g_hidden * (1.0 - hidden * hidden)
+        if V.requires_grad:
+            V._accumulate(g_pre @ gate_proj.data.T)
+        gate_proj._accumulate(V.data.T @ g_pre)
+
+    return a, backward_fn
 
 
 def head_attention(V: Tensor, gate_proj: Tensor, gate_score: Tensor) -> Tensor:
@@ -259,18 +286,30 @@ def head_attention(V: Tensor, gate_proj: Tensor, gate_score: Tensor) -> Tensor:
     """
     if V.data.shape[0] == 0:
         raise EmptyBagError("head_attention: bag has no patches")
-    hidden = ad.tanh(ad.matmul(V, gate_proj))          # (M, attn_hidden)
-    logits = ad.matmul(hidden, gate_score)             # (M, 1)
-    return ad.softmax(logits, axis=0)
+    a, backward_fn = _gate(V, gate_proj, gate_score)
+    return ad.node(a, (V, gate_proj, gate_score), backward_fn)
 
 
-def head_feature(V: Tensor, a: Tensor) -> Tensor:
-    """Scale each patch row of V by its scalar head weight."""
-    if a.data.ndim != 2 or a.data.shape != (V.data.shape[0], 1):
-        raise DimensionError(
-            f"head_feature: weights {a.data.shape} do not match bag {V.data.shape}"
-        )
-    return ad.mul(V, a)
+def _residual_projection(V: Tensor, heads, outs, proj: Tensor, head_grads) -> Tensor:
+    """relu(V + concat(outs) @ proj) as one node; V, the bag, takes no gradient.
+
+    head_grads(pieces) routes the gradient at each head's block of columns
+    back to that head. Head nodes among `heads` are parents of this node,
+    so the sweep reaches the projection before them.
+    """
+    if V.requires_grad:
+        raise ContractError("transform: the bag's features take no gradient")
+    stacked = np.concatenate(outs, axis=1)
+    pre = V.data + stacked @ proj.data
+    mask = pre > 0.0
+
+    def backward_fn(g):
+        g_pre = g * mask
+        g_stacked = g_pre @ proj.data.T
+        proj._accumulate(stacked.T @ g_pre)
+        head_grads(np.split(g_stacked, len(outs), axis=1))
+
+    return ad.node(np.where(mask, pre, 0.0), (*heads, proj), backward_fn)
 
 
 def patch_transform(V: Tensor, params: ModelParams):
@@ -278,50 +317,62 @@ def patch_transform(V: Tensor, params: ModelParams):
 
     Returns (V', [per-head (M, 1) weight columns]).
     """
-    if V.data.shape[0] == 0:
-        raise EmptyBagError("patch_transform: bag has no patches")
-    weights = []
-    feats = []
-    for head in params.heads:
-        a = head_attention(V, head["gate_proj"], head["gate_score"])
-        weights.append(a)
-        feats.append(head_feature(V, a))
-    stacked = ad.concat(feats, axis=1)                 # (M, n_heads * D)
-    transformed = ad.relu(ad.add(V, ad.matmul(stacked, params.proj)))
-    return transformed, weights
+    weights = [head_attention(V, head["gate_proj"], head["gate_score"])
+               for head in params.heads]
+
+    def head_grads(pieces):
+        for a, piece in zip(weights, pieces):
+            a._accumulate(np.sum(piece * V.data, axis=1, keepdims=True))
+
+    outs = [V.data * a.data for a in weights]      # each row scaled by its weight
+    return _residual_projection(V, weights, outs, params.proj, head_grads), weights
 
 
 def sdpa_transform(V: Tensor, params: ModelParams):
     """Scaled dot-product attention variant of the transform stage.
 
-    Returns (V', [per-head (M, M) row-stochastic attention matrices]).
+    Returns (V', [per-head (M, M) row-stochastic attention arrays]).
     """
     M, D = V.data.shape
     if M == 0:
         raise EmptyBagError("sdpa_transform: bag has no patches")
-    d_head = D // params.dims.n_heads
-    mats = []
-    outs = []
+    scale = 1.0 / math.sqrt(D // params.dims.n_heads)
+    saved = []
     for head in params.heads:
-        q = ad.matmul(V, head["query"])                # (M, d_head)
-        k = ad.matmul(V, head["key"])
-        v = ad.matmul(V, head["value"])
-        scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(d_head))
-        attn = ad.softmax(scores, axis=1)              # rows sum to 1
-        mats.append(attn)
-        outs.append(ad.matmul(attn, v))
-    stacked = ad.concat(outs, axis=1)                  # (M, D)
-    transformed = ad.relu(ad.add(V, ad.matmul(stacked, params.proj)))
-    return transformed, mats
+        q, k, v = (V.data @ head[key].data for key in ("query", "key", "value"))
+        kT = np.ascontiguousarray(k.T)
+        saved.append((head, q, kT, v, ad.softmax((q @ kT) * scale, axis=1)))
+
+    def head_grads(pieces):
+        for (head, q, kT, v, attn), piece in zip(saved, pieces):
+            g_scores = ad.softmax_grad(attn, piece @ v.T, axis=1) * scale
+            head["value"]._accumulate(V.data.T @ (attn.T @ piece))
+            head["query"]._accumulate(V.data.T @ (g_scores @ kT.T))
+            head["key"]._accumulate(V.data.T @ (q.T @ g_scores).T)
+
+    outs = [attn @ v for _, _, _, v, attn in saved]
+    leaves = [t for head in params.heads for t in head.values()]
+    return (_residual_projection(V, leaves, outs, params.proj, head_grads),
+            [attn for *_, attn in saved])
 
 
 def tag_attention(Vp: Tensor, gate_proj: Tensor, gate_score: Tensor):
-    """Pool V' into one task vector; returns ((1, D) summary, (M, 1) weights)."""
+    """Pool V' into one task vector; returns ((1, D) summary, (M, 1) weights).
+
+    The weights come back detached, as a Tensor that requires no grad.
+    """
     if Vp.data.shape[0] == 0:
         raise EmptyBagError("tag_attention: bag has no patches")
-    alpha = head_attention(Vp, gate_proj, gate_score)
-    pooled = ad.matmul(ad.transpose(alpha), Vp)        # (1, D)
-    return pooled, alpha
+    alpha, gate_backward = _gate(Vp, gate_proj, gate_score)
+
+    def backward_fn(g):
+        g_alpha = (g @ Vp.data.T).T
+        if Vp.requires_grad:
+            Vp._accumulate(alpha @ g)
+        gate_backward(g_alpha)
+
+    pooled = ad.node(alpha.T @ Vp.data, (Vp, gate_proj, gate_score), backward_fn)
+    return pooled, Tensor(alpha)
 
 
 def predict_tag(pooled: Tensor, classifier: Tensor) -> Tensor:
@@ -331,7 +382,14 @@ def predict_tag(pooled: Tensor, classifier: Tensor) -> Tensor:
             f"predict_tag: pooled {pooled.data.shape} vs classifier "
             f"{classifier.data.shape}"
         )
-    return ad.softmax(ad.matmul(pooled, classifier), axis=1)
+    probs = ad.softmax(pooled.data @ classifier.data, axis=1)
+
+    def backward_fn(g):
+        g_logits = ad.softmax_grad(probs, g, axis=1)
+        pooled._accumulate(g_logits @ classifier.data.T)
+        classifier._accumulate(pooled.data.T @ g_logits)
+
+    return ad.node(probs, (pooled, classifier), backward_fn)
 
 
 def forward(bag, params: ModelParams):
@@ -445,7 +503,8 @@ def load_checkpoint(path) -> ModelParams:
         tag_hidden=ints["tag_hidden"],
         n_heads=ints["heads"],
     )
-    params = ModelParams(schema, dims, fields["variant"], ints["seed"])
+    params = ModelParams.__new__(ModelParams)   # the blob fills flat: no init draws
+    params._lay_out(schema, dims, fields["variant"], ints["seed"])
 
     layout = [(name, *t.data.shape) for name, t in params.named_parameters()]
     if [m[0] for m in matrices] != [m[0] for m in layout]:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import ConfigError, ContractError
 from .metrics import MetricsReport, build_report
 from .model import ModelDims, ModelParams, TagSchema, forward, predict_probs
@@ -64,7 +63,7 @@ class TrainConfig:
         return tuple(self.lambdas) if self.lambdas is not None else (1.0,) * n_tasks
 
 
-def multi_task_loss(probs_per_task, labels, lambdas) -> Tensor:
+def multi_task_loss(probs_per_task, labels, lambdas) -> ad.Tensor:
     """Weighted sum over tasks of batch-mean cross entropy.
 
     probs_per_task[k] is a list of (1, C_k) probability tensors, one per bag;
@@ -133,7 +132,7 @@ class Adam:
 
     def zero_grad(self) -> None:
         for _, p in self.params.named_parameters():
-            p.zero_grad()
+            p.grad = None
 
 
 @dataclass

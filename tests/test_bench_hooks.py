@@ -35,7 +35,8 @@ def test_every_traced_name_exists():
     assert callable(spans.autodiff.backward)
 
 
-def test_traced_gated3_training_bag_builds_at_most_45_tensors():
+def traced_gated3_run():
+    """Span facts of one traced tiny gated-3 `train` and an eval of its model."""
     spans = load_spans()
     schema = TagSchema(tasks=(("a", ("x", "y")), ("b", ("p", "q", "r")),
                               ("c", ("u", "v"))))
@@ -46,15 +47,36 @@ def test_traced_gated3_training_bag_builds_at_most_45_tensors():
     tracer = spans.Tracer()
     tracer.install()
     try:
-        spans.training.train(bags, [], schema, config)
+        # root spans named as the benchmark names its commands
+        result = tracer.span("cli.train.gated3", spans.training.train)(
+            bags, [], schema, config)
+        tracer.span("cli.eval", spans.training.evaluate)(result.params, bags)
     finally:
         tracer.remove()
-    facts = spans.analyse(tracer.spans, 0, len(tracer.spans))
+    return spans, spans.analyse(tracer.spans, 0, len(tracer.spans)), bags
+
+
+def test_traced_gated3_bags_build_at_most_15_tensors_to_train_and_14_to_infer():
+    _, facts, bags = traced_gated3_run()
     per_step = [f["tensors"] for f in facts
                 if f["parent"] == "training.train"
                 and f["name"] in ("model.forward", "training.multi_task_loss")]
     assert len(per_step) == 2 * len(bags)
-    assert sum(per_step) / len(bags) <= 45
+    assert sum(per_step) / len(bags) <= 15
+    per_infer = [f["tensors"] for f in facts
+                 if f["parent"] == "training.evaluate" and f["name"] == "model.forward"]
+    assert len(per_infer) == len(bags)
+    assert max(per_infer) <= 14
+
+
+def test_layer_metrics_of_a_traced_train_name_every_layer():
+    spans, facts, bags = traced_gated3_run()
+    metrics = spans.layer_metrics(facts, len(bags))
+    for name in ("autodiff.backward_s", "model.head_gates_s", "model.transform_s",
+                 "model.tag_pooling_s", "model.classifiers_s", "training.loss_s"):
+        assert f"{name}.gated3" in metrics, name
+    assert metrics["autodiff.tensors_per_train_bag.gated3"] <= 15
+    assert metrics["autodiff.tensors_per_infer_bag"] <= 14
 
 
 def test_selftest_passes(tmp_path):

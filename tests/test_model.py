@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from patchbag import autodiff as ad
+from patchbag import model
 from patchbag.autodiff import Tensor
 from patchbag.errors import (
     ConfigError,
+    ContractError,
     DimensionError,
     EmptyBagError,
     IntegrityError,
@@ -21,7 +23,6 @@ from patchbag.model import (
     TagSchema,
     forward,
     head_attention,
-    head_feature,
     load_checkpoint,
     patch_transform,
     predict_probs,
@@ -42,6 +43,11 @@ def small_params(variant="gated", heads=2, feature_dim=6, seed=1):
     dims = ModelDims(feature_dim=feature_dim, attn_hidden=4, tag_hidden=4,
                      n_heads=heads)
     return ModelParams(SMALL_SCHEMA, dims, variant, seed)
+
+
+def dot(x, w):
+    """sum(x * w) as a scalar node: a loss that weighs every output entry."""
+    return ad.node(np.sum(x.data * w), (x,), lambda g: x._accumulate(g * w))
 
 
 def random_bag(rng, n_patches, feature_dim, schema=SMALL_SCHEMA, bag_id="bag"):
@@ -104,34 +110,58 @@ class TestHeadAttention:
                            params.heads[0]["gate_score"])
 
 
+def row_scaling_transform(gate_proj, gate_score):
+    """A 1-head gated transform of 2-wide rows whose projection is the identity.
+
+    Its output is relu(V + a * V): each row plus its copy scaled by the
+    head's weight for that row.
+    """
+    dims = ModelDims(feature_dim=2, attn_hidden=len(gate_score), tag_hidden=4, n_heads=1)
+    params = ModelParams(SMALL_SCHEMA, dims, "gated", seed=0)
+    params.heads[0]["gate_proj"].data[...] = gate_proj
+    params.heads[0]["gate_score"].data[...] = gate_score
+    params.proj.data[...] = np.eye(2)
+    return params
+
+
 class TestHeadFeature:
+    """Each head's copy of V, every row scaled by that head's weight."""
+
     def test_uniform_weights_scale_by_one_over_m(self):
-        V = Tensor(np.arange(8.0).reshape(4, 2))
-        a = Tensor(np.full((4, 1), 0.25))
-        np.testing.assert_allclose(head_feature(V, a).data, V.data / 4.0)
+        V = np.arange(1.0, 9.0).reshape(4, 2)
+        params = row_scaling_transform(np.zeros((2, 3)), [[1.0], [2.0], [3.0]])
+        out, (a,) = patch_transform(Tensor(V), params)
+        np.testing.assert_array_equal(a.data, np.full((4, 1), 0.25))
+        np.testing.assert_allclose(out.data, V + V / 4.0)
 
     def test_one_hot_keeps_single_row(self):
-        V = Tensor(np.arange(6.0).reshape(3, 2))
-        a = Tensor([[0.0], [0.0], [1.0]])
-        out = head_feature(V, a).data
-        np.testing.assert_array_equal(out[:2], np.zeros((2, 2)))
-        np.testing.assert_array_equal(out[2], V.data[2])
+        # logits (0, 0, 1000 tanh 5): the first two weights underflow to 0
+        V = np.array([[0.0, 1.0], [0.0, 2.0], [5.0, 3.0]])
+        params = row_scaling_transform([[1.0], [0.0]], [[1000.0]])
+        out, (a,) = patch_transform(Tensor(V), params)
+        np.testing.assert_array_equal(a.data, [[0.0], [0.0], [1.0]])
+        np.testing.assert_array_equal(out.data[:2], V[:2])
+        np.testing.assert_array_equal(out.data[2], 2.0 * V[2])
 
     def test_rows_scaled_against_loop_oracle(self):
         rng = np.random.default_rng(3)
         V = rng.normal(size=(3, 2))
-        w = np.array([0.2, 0.3, 0.5])
-        out = head_feature(Tensor(V), Tensor(w.reshape(3, 1))).data
+        params = row_scaling_transform(rng.normal(size=(2, 3)), rng.normal(size=(3, 1)))
+        out, (a,) = patch_transform(Tensor(V), params)
+        w = a.data[:, 0]
         for m in range(3):
             for d in range(2):
-                assert out[m, d] == w[m] * V[m, d]
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            head_feature(Tensor(np.ones((3, 2))), Tensor(np.ones((2, 1))))
+                assert out.data[m, d] == max(V[m, d] + w[m] * V[m, d], 0.0)
 
 
 class TestPatchTransform:
+    @pytest.mark.parametrize("variant", ["gated", "sdpa"])
+    def test_features_that_require_grad_rejected(self, variant):
+        params = small_params(variant=variant)
+        V = Tensor(np.ones((3, 6)), requires_grad=True)
+        with pytest.raises(ContractError):
+            (patch_transform if variant == "gated" else sdpa_transform)(V, params)
+
     def test_zero_projection_reduces_to_relu(self):
         params = small_params()
         params.proj.data[:] = 0.0
@@ -164,7 +194,7 @@ class TestSdpaTransform:
         V = np.random.default_rng(7).normal(size=(1, 6))
         out, mats = sdpa_transform(Tensor(V), params)
         for m in mats:
-            np.testing.assert_array_equal(m.data, [[1.0]])
+            np.testing.assert_array_equal(m, [[1.0]])
         assert out.data.shape == (1, 6)
 
     def test_rows_sum_to_one(self):
@@ -172,7 +202,7 @@ class TestSdpaTransform:
         V = np.random.default_rng(8).normal(size=(9, 6))
         _, mats = sdpa_transform(Tensor(V), params)
         for m in mats:
-            np.testing.assert_allclose(m.data.sum(axis=1), 1.0, atol=1e-12)
+            np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-12)
 
     def test_row_permutation_equivariant(self):
         params = small_params(variant="sdpa", heads=2)
@@ -296,6 +326,48 @@ class TestForward:
         assert len(probs) == 2
 
 
+class TestLayerGradients:
+    """Each layer's hand-written backward against finite differences."""
+
+    def test_head_attention_including_the_input(self):
+        rng = np.random.default_rng(41)
+        V = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        gate_proj = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        gate_score = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
+        w = rng.normal(size=(5, 1))
+        assert_grads_match(lambda: dot(head_attention(V, gate_proj, gate_score), w),
+                           [V, gate_proj, gate_score], rel=1e-6, abs_=1e-10)
+
+    def test_tag_attention_including_the_input(self):
+        rng = np.random.default_rng(43)
+        Vp = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        gate_proj = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        gate_score = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
+        w = rng.normal(size=(1, 4))
+        assert_grads_match(lambda: dot(tag_attention(Vp, gate_proj, gate_score)[0], w),
+                           [Vp, gate_proj, gate_score], rel=1e-6, abs_=1e-10)
+
+    @pytest.mark.parametrize("variant,heads", [("gated", 2), ("gated", 1), ("sdpa", 2),
+                                               ("sdpa", 3)])
+    def test_transform(self, variant, heads):
+        params = small_params(variant=variant, heads=heads)
+        rng = np.random.default_rng(47)
+        V = Tensor(rng.normal(size=(5, 6)))
+        w = rng.normal(size=(5, 6))
+        transform = patch_transform if variant == "gated" else sdpa_transform
+        tensors = [t for head in params.heads for t in head.values()] + [params.proj]
+        assert_grads_match(lambda: dot(transform(V, params)[0], w), tensors,
+                           rel=1e-6, abs_=1e-10)
+
+    def test_predict_tag_including_the_input(self):
+        rng = np.random.default_rng(53)
+        pooled = Tensor(rng.normal(size=(1, 6)), requires_grad=True)
+        classifier = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        w = rng.normal(size=(1, 4))
+        assert_grads_match(lambda: dot(predict_tag(pooled, classifier), w),
+                           [pooled, classifier], rel=1e-6, abs_=1e-10)
+
+
 class TestFullModelGradients:
     @pytest.mark.parametrize("variant", ["gated", "sdpa"])
     def test_all_matrices_match_finite_differences(self, variant):
@@ -353,6 +425,20 @@ class TestCopy:
             t.data[...] = 7.0
         for t, want in zip(dup.parameters(), dup_before):
             assert t.data.tobytes() == want.tobytes()
+
+
+    @pytest.mark.parametrize("variant,heads", VARIANTS)
+    def test_copy_and_load_draw_nothing(self, tmp_path, monkeypatch, variant, heads):
+        params = self.trained_looking(variant, heads)
+        save_checkpoint(params, tmp_path / "model.ckpt")
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("init draws for values that are overwritten")
+
+        monkeypatch.setattr(model.np.random, "default_rng", no_draws)
+        for dup in (params.copy(), load_checkpoint(tmp_path / "model.ckpt")):
+            assert dup.flat.tobytes() == params.flat.tobytes()
+            assert all(np.shares_memory(t.data, dup.flat) for t in dup.parameters())
 
 
 class TestFlat:
