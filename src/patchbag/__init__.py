@@ -1,8 +1,8 @@
 """patchbag: multi-head gated patch attention for multi-tag bag classification.
 
 A desk-scale numpy stack: the gated / scaled-dot-product attention model
-with per-task attention pooling, each layer one graph node with a
-hand-written backward that a small reverse sweep runs; a synthetic
+with per-task attention pooling, each layer an array function with a
+hand-written backward, chained into one backward per bag; a synthetic
 patch-bag generator, an image preprocessing path (Otsu masking, patch
 sampling, augmentation, featurizing), multi-task training with Adam,
 Macro/Micro F1 evaluation, and attention-ranking export.

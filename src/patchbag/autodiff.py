@@ -1,10 +1,9 @@
-"""Dense float64 tensors with a reverse sweep over hand-written layer nodes.
+"""What sits around the model's hand-written backwards.
 
-Define-by-run: each model layer is one graph node that records its inputs
-and a backward closure derived by hand in numpy, so each forward pass
-builds a fresh graph and a single reverse sweep fills in gradients. Besides
-the sweep this module holds only the array softmax the layers share and the
-weighted negative log-likelihood loss node.
+`Tensor`, an array with a gradient slot and the backward that made it; the
+array softmax the layers share; the weighted negative log-likelihood loss,
+whose backward hands each bag its gradient rows; and `backward`, which runs
+a loss's recorded backward once.
 """
 
 import numpy as np
@@ -15,48 +14,19 @@ LOG_FLOOR = 1e-12
 
 
 class Tensor:
-    """A numpy float64 array plus an optional gradient slot.
+    """A numpy float64 array, a gradient slot and the backward that made it.
 
-    Tensors made by `node` keep references to their parent tensors and a
-    closure that routes the output gradient back to them. Leaf tensors
-    with requires_grad=True are the trainable parameters.
+    A loss's backward takes d loss / d loss; the K probability rows of one
+    bag share one, which takes the bag's K gradient rows. A trainable
+    matrix's grad slot is its view into `ModelParams.grad`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_swept")
+    __slots__ = ("data", "grad", "_backward")
 
-    def __init__(self, data, requires_grad=False):
-        arr = np.asarray(data, dtype=np.float64)
-        if not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
-        self.data = arr
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward = None
-        self._swept = False
-
-    def _accumulate(self, g):
-        """Add g to .grad; a tensor that requires no grad keeps none."""
-        if not self.requires_grad:
-            return
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
-        else:
-            self.grad += g
-
-
-def node(data, parents, backward_fn) -> Tensor:
-    """A graph node: `data` computed from `parents`.
-
-    backward_fn(g) receives the node's gradient once every consumer has
-    added to it, and accumulates into each parent that requires grad.
-    """
-    out = Tensor(data)
-    out.requires_grad = any(p.requires_grad for p in parents)
-    if out.requires_grad:
-        out._parents = tuple(parents)
-        out._backward = backward_fn
-    return out
+    def __init__(self, data, backward=None, grad=None):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.grad = grad
+        self._backward = backward
 
 
 def softmax(x, axis: int):
@@ -75,63 +45,41 @@ def softmax_grad(y, g, axis: int):
 def weighted_nll(probs, labels, weights, floor: float = LOG_FLOOR) -> Tensor:
     """Scalar sum over k of weights[k] * sum over i of -log p_ik[label_ik].
 
-    probs[k][i] is a (1, C_k) probability row and labels an (N, K) array of
-    class indices. Probabilities are clamped below at `floor`, where the
-    log is flat and so passes back no gradient. Both sums run in order.
+    probs[k][i] is bag i's (1, C_k) probability row for task k, and labels
+    an (N, K) array of class indices. Probabilities are clamped below at
+    `floor`, where the log is flat and so passes back no gradient. Both sums
+    run in order. The loss's backward calls each bag's shared backward once,
+    in bag order, with that bag's K gradient rows.
     """
-    parents = [p for task in probs for p in task]
     x = np.array([[p.data[0, label] for p, label in zip(task, labels[:, k])]
                   for k, task in enumerate(probs)])              # (K, N)
     clamped = np.maximum(x, floor)
     weights = np.asarray(weights, dtype=np.float64)
     terms = np.cumsum(-np.log(clamped), axis=1)[:, -1]
     total = np.cumsum(terms * weights)[-1]
+    bag_backwards = [p._backward for p in probs[0]]
 
     def backward_fn(g):
         grads = np.where(x > floor, -(g * weights)[:, None] / clamped, 0.0)
-        for p, label, grad in zip(parents, labels.T.ravel(), grads.ravel()):
-            row = np.zeros_like(p.data)
-            row[0, label] = grad
-            p._accumulate(row)
+        for i, bag_backward in enumerate(bag_backwards):
+            rows = [np.zeros_like(task[i].data) for task in probs]
+            for k, row in enumerate(rows):
+                row[0, labels[i, k]] = grads[k, i]
+            bag_backward(rows)
 
-    return node(total, parents, backward_fn)
-
-
-def _topo_order(root: Tensor):
-    """Parents-before-children ordering of the grad-requiring subgraph."""
-    order = []
-    seen = set()
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
-                stack.append((p, False))
-    return order
+    return Tensor(total, backward_fn if all(bag_backwards) else None)
 
 
 def backward(loss: Tensor) -> None:
-    """Run one reverse sweep from a scalar loss, filling .grad slots.
+    """Run the scalar loss's recorded backward once.
 
-    A second sweep from the same tensor is rejected: the graph's saved
-    activations are still valid but double accumulation is almost always a
-    training-loop bug, so it raises rather than silently adding.
+    A second backward of the same loss raises: adding its gradient twice is
+    almost always a training-loop bug.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.data.shape}")
-    if loss._swept:
-        raise ContractError("backward: this loss was already swept; rebuild the graph")
-    if not loss.requires_grad:
-        raise ContractError("backward: loss does not depend on any trainable tensor")
-    loss._swept = True
-    loss.grad = np.ones_like(loss.data)
-    for node in reversed(_topo_order(loss)):
-        if node._backward is not None:
-            node._backward(node.grad)
+    if loss._backward is None:
+        raise ContractError("backward: this loss has no backward to run: it ran "
+                            "already, or nothing trainable produced it")
+    run, loss._backward = loss._backward, None
+    run(np.ones_like(loss.data))

@@ -10,8 +10,9 @@ A bag of M patch feature rows V (M x D) flows through:
      task-specific summary vector per tagging task;
   3. per-task softmax classifiers.
 
-Each layer is one autodiff graph node with a backward written by hand in
-numpy, so one backward sweep trains every matrix jointly.
+Each layer works on arrays and returns its value with a backward written
+by hand in numpy; `forward` chains them into one backward per bag, which
+adds the bag's gradient into one flat vector for every matrix at once.
 """
 
 import math
@@ -181,8 +182,9 @@ class ModelParams:
 
     Every matrix is a view into one contiguous float64 vector, `flat`, laid
     out in named_parameters() order, so copies, checkpoints and optimizer
-    steps each touch one array. Immutable during inference: forward never
-    writes to parameter data. Training is the single writer.
+    steps each touch one array; bag backwards add into `grad`, laid out the
+    same, and set `has_grad`. Forward never writes to parameter data;
+    training is the single writer.
     """
 
     def __init__(self, schema: TagSchema, dims: ModelDims, variant: str, seed: int):
@@ -229,11 +231,14 @@ class ModelParams:
         # named_parameters() order: every classifier after every tag gate
         layout = sorted(draws, key=lambda d: d[0].endswith(".classify"))
         self.flat = np.empty(sum(rows * cols for _, rows, cols in layout))
+        self.grad = np.zeros_like(self.flat)
+        self.has_grad = False
         self._named = {}
         offset = 0
         for name, rows, cols in layout:
-            view = self.flat[offset:offset + rows * cols].reshape(rows, cols)
-            self._named[name] = Tensor(view, requires_grad=True)
+            span = slice(offset, offset + rows * cols)
+            self._named[name] = Tensor(self.flat[span].reshape(rows, cols),
+                                       grad=self.grad[span].reshape(rows, cols))
             offset += rows * cols
         t = self._named
         self.heads = [{key: t[f"head{i}.{key}"] for key, _, _ in head_keys}
@@ -258,146 +263,145 @@ class ModelParams:
         return dup
 
 
-def _gate(V: Tensor, gate_proj: Tensor, gate_score: Tensor):
-    """One attention gate over the M rows of V: softmax of tanh(V W) w.
+def _gate(name, V, gate_proj, gate_score):
+    """(M, 1) softmax weights over the M rows of V, from tanh(V W) w.
 
-    Returns the (M, 1) weights and the function that routes the gradient
-    at those weights back to V and the gate's two matrices.
+    backward(g, g_V, g_proj, g_score) adds the gradients at V (unless g_V
+    is None), W and w into those arrays.
     """
-    hidden = np.tanh(V.data @ gate_proj.data)
-    a = ad.softmax(hidden @ gate_score.data, axis=0)
+    if V.shape[0] == 0:
+        raise EmptyBagError(f"{name}: bag has no patches")
+    hidden = np.tanh(V @ gate_proj)
+    a = ad.softmax(hidden @ gate_score, axis=0)
 
-    def backward_fn(g):
+    def backward(g, g_V, g_proj, g_score):
         g_logits = ad.softmax_grad(a, g, axis=0)
-        g_hidden = g_logits @ gate_score.data.T
-        gate_score._accumulate(hidden.T @ g_logits)
+        g_hidden = g_logits @ gate_score.T
+        g_score += hidden.T @ g_logits
         g_pre = g_hidden * (1.0 - hidden * hidden)
-        if V.requires_grad:
-            V._accumulate(g_pre @ gate_proj.data.T)
-        gate_proj._accumulate(V.data.T @ g_pre)
+        if g_V is not None:
+            g_V += g_pre @ gate_proj.T
+        g_proj += V.T @ g_pre
 
-    return a, backward_fn
+    return a, backward
 
 
-def head_attention(V: Tensor, gate_proj: Tensor, gate_score: Tensor) -> Tensor:
-    """One gated attention head: softmax over the M patches.
+def head_attention(V, gate_proj, gate_score):
+    """One gated attention head: (M, 1) patch weights and their `_gate` backward."""
+    return _gate("head_attention", V, gate_proj, gate_score)
 
-    Returns the (M, 1) weight column; weights are positive and sum to 1.
+
+def _residual_projection(V, outs, proj, head_grads):
+    """relu(V + concat(outs) @ proj); V, the bag, takes no gradient.
+
+    backward(g) adds the gradient at proj into its grad view and hands
+    head_grads the gradient at each head's block of columns.
     """
-    if V.data.shape[0] == 0:
-        raise EmptyBagError("head_attention: bag has no patches")
-    a, backward_fn = _gate(V, gate_proj, gate_score)
-    return ad.node(a, (V, gate_proj, gate_score), backward_fn)
-
-
-def _residual_projection(V: Tensor, heads, outs, proj: Tensor, head_grads) -> Tensor:
-    """relu(V + concat(outs) @ proj) as one node; V, the bag, takes no gradient.
-
-    head_grads(pieces) routes the gradient at each head's block of columns
-    back to that head. Head nodes among `heads` are parents of this node,
-    so the sweep reaches the projection before them.
-    """
-    if V.requires_grad:
-        raise ContractError("transform: the bag's features take no gradient")
+    if not outs:
+        raise ContractError("transform: the model has 0 heads; it needs 1 or more")
     stacked = np.concatenate(outs, axis=1)
-    pre = V.data + stacked @ proj.data
+    pre = V + stacked @ proj.data
     mask = pre > 0.0
 
-    def backward_fn(g):
+    def backward(g):
         g_pre = g * mask
         g_stacked = g_pre @ proj.data.T
-        proj._accumulate(stacked.T @ g_pre)
+        proj.grad += stacked.T @ g_pre
         head_grads(np.split(g_stacked, len(outs), axis=1))
 
-    return ad.node(np.where(mask, pre, 0.0), (*heads, proj), backward_fn)
+    return np.where(mask, pre, 0.0), backward
 
 
-def patch_transform(V: Tensor, params: ModelParams):
+def patch_transform(V, params: ModelParams):
     """Gated multi-head transform: concat scaled copies, project, residual, ReLU.
 
-    Returns (V', [per-head (M, 1) weight columns]).
+    Returns V', the per-head (M, 1) weight columns and the backward, which
+    adds the gradients at the heads and the projection into params.grad.
     """
-    weights = [head_attention(V, head["gate_proj"], head["gate_score"])
-               for head in params.heads]
+    gates = [head_attention(V, head["gate_proj"].data, head["gate_score"].data)
+             for head in params.heads]
 
     def head_grads(pieces):
-        for a, piece in zip(weights, pieces):
-            a._accumulate(np.sum(piece * V.data, axis=1, keepdims=True))
+        for head, (_, gate_backward), piece in zip(params.heads, gates, pieces):
+            gate_backward(np.sum(piece * V, axis=1, keepdims=True), None,
+                          head["gate_proj"].grad, head["gate_score"].grad)
 
-    outs = [V.data * a.data for a in weights]      # each row scaled by its weight
-    return _residual_projection(V, weights, outs, params.proj, head_grads), weights
+    weights = [a for a, _ in gates]
+    outs = [V * a for a in weights]                # each row scaled by its weight
+    Vp, backward = _residual_projection(V, outs, params.proj, head_grads)
+    return Vp, weights, backward
 
 
-def sdpa_transform(V: Tensor, params: ModelParams):
+def sdpa_transform(V, params: ModelParams):
     """Scaled dot-product attention variant of the transform stage.
 
-    Returns (V', [per-head (M, M) row-stochastic attention arrays]).
+    Returns V', the per-head (M, M) row-stochastic attention arrays and a
+    backward like patch_transform's.
     """
-    M, D = V.data.shape
-    if M == 0:
+    if V.shape[0] == 0:
         raise EmptyBagError("sdpa_transform: bag has no patches")
-    scale = 1.0 / math.sqrt(D // params.dims.n_heads)
     saved = []
     for head in params.heads:
-        q, k, v = (V.data @ head[key].data for key in ("query", "key", "value"))
+        q, k, v = (V @ head[key].data for key in ("query", "key", "value"))
         kT = np.ascontiguousarray(k.T)
+        scale = 1.0 / math.sqrt(q.shape[1])     # every head is d_head wide
         saved.append((head, q, kT, v, ad.softmax((q @ kT) * scale, axis=1)))
 
     def head_grads(pieces):
         for (head, q, kT, v, attn), piece in zip(saved, pieces):
             g_scores = ad.softmax_grad(attn, piece @ v.T, axis=1) * scale
-            head["value"]._accumulate(V.data.T @ (attn.T @ piece))
-            head["query"]._accumulate(V.data.T @ (g_scores @ kT.T))
-            head["key"]._accumulate(V.data.T @ (q.T @ g_scores).T)
+            head["value"].grad += V.T @ (attn.T @ piece)
+            head["query"].grad += V.T @ (g_scores @ kT.T)
+            head["key"].grad += V.T @ (q.T @ g_scores).T
 
     outs = [attn @ v for _, _, _, v, attn in saved]
-    leaves = [t for head in params.heads for t in head.values()]
-    return (_residual_projection(V, leaves, outs, params.proj, head_grads),
-            [attn for *_, attn in saved])
+    Vp, backward = _residual_projection(V, outs, params.proj, head_grads)
+    return Vp, [attn for *_, attn in saved], backward
 
 
-def tag_attention(Vp: Tensor, gate_proj: Tensor, gate_score: Tensor):
-    """Pool V' into one task vector; returns ((1, D) summary, (M, 1) weights).
+def tag_attention(Vp, gate_proj, gate_score):
+    """Pool V' into one task vector: the (1, D) summary and the (M, 1) weights.
 
-    The weights come back detached, as a Tensor that requires no grad.
+    backward(g, g_Vp, g_proj, g_score) adds the gradients at V' (unless
+    g_Vp is None) and the gate's two matrices into those arrays.
     """
-    if Vp.data.shape[0] == 0:
-        raise EmptyBagError("tag_attention: bag has no patches")
-    alpha, gate_backward = _gate(Vp, gate_proj, gate_score)
+    alpha, gate_backward = _gate("tag_attention", Vp, gate_proj, gate_score)
 
-    def backward_fn(g):
-        g_alpha = (g @ Vp.data.T).T
-        if Vp.requires_grad:
-            Vp._accumulate(alpha @ g)
-        gate_backward(g_alpha)
+    def backward(g, g_Vp, g_proj, g_score):
+        g_alpha = (g @ Vp.T).T
+        if g_Vp is not None:
+            g_Vp += alpha @ g
+        gate_backward(g_alpha, g_Vp, g_proj, g_score)
 
-    pooled = ad.node(alpha.T @ Vp.data, (Vp, gate_proj, gate_score), backward_fn)
-    return pooled, Tensor(alpha)
+    return alpha.T @ Vp, alpha, backward
 
 
-def predict_tag(pooled: Tensor, classifier: Tensor) -> Tensor:
-    """Class probabilities for one task, shape (1, n_classes)."""
-    if pooled.data.shape[1] != classifier.data.shape[0]:
-        raise DimensionError(
-            f"predict_tag: pooled {pooled.data.shape} vs classifier "
-            f"{classifier.data.shape}"
-        )
-    probs = ad.softmax(pooled.data @ classifier.data, axis=1)
+def predict_tag(pooled, classifier):
+    """Class probabilities for one task, shape (1, n_classes).
 
-    def backward_fn(g):
+    backward(g, g_classifier) adds the gradient at the classifier into
+    g_classifier and returns the gradient at pooled.
+    """
+    if pooled.shape[1] != classifier.shape[0]:
+        raise DimensionError(f"predict_tag: pooled {pooled.shape} vs classifier "
+                             f"{classifier.shape}")
+    probs = ad.softmax(pooled @ classifier, axis=1)
+
+    def backward(g, g_classifier):
         g_logits = ad.softmax_grad(probs, g, axis=1)
-        pooled._accumulate(g_logits @ classifier.data.T)
-        classifier._accumulate(pooled.data.T @ g_logits)
+        g_classifier += pooled.T @ g_logits
+        return g_logits @ classifier.T
 
-    return ad.node(probs, (pooled, classifier), backward_fn)
+    return probs, backward
 
 
 def forward(bag, params: ModelParams):
     """Run one bag through the network.
 
     `bag` is a PatchBag (or anything with .features and .bag_id). Returns
-    (probs, record): probs is a list of (1, n_classes_k) probability tensors
-    still attached to the graph, record holds detached attention weights.
+    (probs, record): one (1, n_classes_k) probability tensor per task, and
+    the attention weights. The K tensors share one backward, which adds the
+    bag's gradient into params.grad: tasks in order, then the transform.
     """
     feats = np.asarray(bag.features, dtype=np.float64)
     if feats.ndim != 2:
@@ -409,21 +413,32 @@ def forward(bag, params: ModelParams):
             f"forward: bag feature dim {feats.shape[1]} != model "
             f"feature_dim {params.dims.feature_dim}"
         )
-    V = Tensor(feats)
     record = AttentionRecord(bag_id=bag.bag_id)
-    if params.dims.n_heads == 0:
-        Vp = V
-    elif params.variant == "gated":
-        Vp, head_w = patch_transform(V, params)
-        record.head_weights = [w.data[:, 0].copy() for w in head_w]
-    else:
-        Vp, _ = sdpa_transform(V, params)
-    probs = []
+    Vp, transform_backward = feats, None
+    if params.dims.n_heads > 0 and params.variant == "gated":
+        Vp, head_w, transform_backward = patch_transform(feats, params)
+        record.head_weights = [w[:, 0].copy() for w in head_w]
+    elif params.dims.n_heads > 0:
+        Vp, _, transform_backward = sdpa_transform(feats, params)
+    probs, task_backwards = [], []
     for (gate_proj, gate_score), classifier in zip(params.tag_gates, params.classifiers):
-        pooled, alpha = tag_attention(Vp, gate_proj, gate_score)
-        record.tag_weights.append(alpha.data[:, 0].copy())
-        probs.append(predict_tag(pooled, classifier))
-    return probs, record
+        pooled, alpha, pool_backward = tag_attention(Vp, gate_proj.data, gate_score.data)
+        record.tag_weights.append(alpha[:, 0].copy())
+        p, classify_backward = predict_tag(pooled, classifier.data)
+        probs.append(p)
+        task_backwards.append((pool_backward, classify_backward))
+
+    def backward(g_rows):
+        g_Vp = None if transform_backward is None else np.zeros_like(Vp)
+        for g, (pool_backward, classify_backward), (gate_proj, gate_score), classifier \
+                in zip(g_rows, task_backwards, params.tag_gates, params.classifiers):
+            g_pooled = classify_backward(g, classifier.grad)
+            pool_backward(g_pooled, g_Vp, gate_proj.grad, gate_score.grad)
+        if transform_backward is not None:
+            transform_backward(g_Vp)
+        params.has_grad = True
+
+    return [Tensor(p, backward) for p in probs], record
 
 
 def predict_probs(bag, params: ModelParams):

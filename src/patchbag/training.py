@@ -95,9 +95,9 @@ def multi_task_loss(probs_per_task, labels, lambdas) -> ad.Tensor:
 class Adam:
     """Adam with bias correction; update = -lr * m_hat / (sqrt(v_hat) + eps).
 
-    Updates params.flat in place, where `params` is a ModelParams (or any
-    object whose named_parameters() matrices are views into its `flat`).
-    Each step reuses buffers made here, so it allocates no array.
+    Updates params.flat in place from params.grad, where `params` is a
+    ModelParams (or any object with `flat`, `grad` and `has_grad`). Each
+    step reuses buffers made here, so it allocates no array.
     """
 
     def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, epsilon=1e-8):
@@ -109,16 +109,13 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
-        self._g, self._num, self._den = (np.empty_like(params.flat) for _ in range(3))
+        self._num, self._den = np.empty_like(params.flat), np.empty_like(params.flat)
 
     def step(self) -> None:
+        if not self.params.has_grad:
+            raise ContractError("adam: no backward has run since zero_grad")
         self.t += 1
-        named = self.params.named_parameters()
-        missing = [name for name, p in named if p.grad is None]
-        if missing:
-            raise ContractError(f"adam: parameter {missing[0]!r} has no gradient")
-        g, num, den = self._g, self._num, self._den
-        np.concatenate([p.grad for _, p in named], axis=None, out=g)
+        g, num, den = self.params.grad, self._num, self._den
         self.m *= self.beta1
         self.m += np.multiply(g, 1 - self.beta1, out=num)
         self.v *= self.beta2
@@ -131,8 +128,8 @@ class Adam:
         self.params.flat -= np.divide(num, den, out=num)
 
     def zero_grad(self) -> None:
-        for _, p in self.params.named_parameters():
-            p.grad = None
+        self.params.grad.fill(0.0)
+        self.params.has_grad = False
 
 
 @dataclass

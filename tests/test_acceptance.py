@@ -151,27 +151,26 @@ def test_c2_attention_normalization_and_permutation():
 
 def test_c3_residual_and_pooling_identities():
     from patchbag.model import patch_transform, tag_attention
-    from patchbag.autodiff import Tensor
 
     dims = ModelDims(feature_dim=10, attn_hidden=4, tag_hidden=4, n_heads=3)
     params = ModelParams(GRAD_SCHEMA, dims, "gated", 5)
     params.proj.data[:] = 0.0
     rng = np.random.default_rng(6)
     V = rng.normal(size=(9, 10))
-    out, _ = patch_transform(Tensor(V), params)
-    np.testing.assert_array_equal(out.data, np.maximum(V, 0.0))
+    out, _, _ = patch_transform(V, params)
+    np.testing.assert_array_equal(out, np.maximum(V, 0.0))
 
     # one-head transform composed with a zeroed tag gate pools to the
     # column mean of the transformed features
     one_head = ModelParams(
         GRAD_SCHEMA, ModelDims(feature_dim=10, attn_hidden=4, tag_hidden=4,
                                n_heads=1), "gated", 8)
-    Vp, _ = patch_transform(Tensor(rng.normal(size=(7, 10))), one_head)
-    pooled, alpha = tag_attention(
-        Vp, Tensor(np.zeros((10, 4))), Tensor(rng.normal(size=(4, 1)))
+    Vp, _, _ = patch_transform(rng.normal(size=(7, 10)), one_head)
+    pooled, alpha, _ = tag_attention(
+        Vp, np.zeros((10, 4)), rng.normal(size=(4, 1))
     )
-    np.testing.assert_allclose(alpha.data, 1.0 / 7.0, atol=1e-15)
-    np.testing.assert_allclose(pooled.data[0], Vp.data.mean(axis=0), atol=1e-12)
+    np.testing.assert_allclose(alpha, 1.0 / 7.0, atol=1e-15)
+    np.testing.assert_allclose(pooled[0], Vp.mean(axis=0), atol=1e-12)
 
 
 def test_c4_metric_oracle_equivalence():

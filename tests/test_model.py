@@ -5,7 +5,6 @@ import os
 import numpy as np
 import pytest
 
-from patchbag import autodiff as ad
 from patchbag import model
 from patchbag.autodiff import Tensor
 from patchbag.errors import (
@@ -45,9 +44,20 @@ def small_params(variant="gated", heads=2, feature_dim=6, seed=1):
     return ModelParams(SMALL_SCHEMA, dims, variant, seed)
 
 
-def dot(x, w):
-    """sum(x * w) as a scalar node: a loss that weighs every output entry."""
-    return ad.node(np.sum(x.data * w), (x,), lambda g: x._accumulate(g * w))
+def leaf(values):
+    """A trainable matrix outside any model: its data and a zeroed grad slot."""
+    data = np.array(values, dtype=np.float64)
+    return Tensor(data, grad=np.zeros_like(data))
+
+
+def weighed(out, w, backward):
+    """sum(out * w) as a loss whose backward hands g * w to `backward`."""
+    return Tensor(np.sum(out * w), lambda g: backward(g * w))
+
+
+def add_into(t):
+    """A function that adds its argument into t's grad slot."""
+    return lambda grad: np.add(t.grad, grad, out=t.grad)
 
 
 def random_bag(rng, n_patches, feature_dim, schema=SMALL_SCHEMA, bag_id="bag"):
@@ -81,33 +91,33 @@ class TestSchema:
 class TestHeadAttention:
     def test_single_patch_gets_full_weight(self):
         params = small_params(feature_dim=3)
-        V = Tensor(np.random.default_rng(0).normal(size=(1, 3)))
-        a = head_attention(V, params.heads[0]["gate_proj"],
-                           params.heads[0]["gate_score"])
-        np.testing.assert_array_equal(a.data, [[1.0]])
+        V = np.random.default_rng(0).normal(size=(1, 3))
+        a, _ = head_attention(V, params.heads[0]["gate_proj"].data,
+                              params.heads[0]["gate_score"].data)
+        np.testing.assert_array_equal(a, [[1.0]])
 
     def test_zero_gate_gives_uniform(self):
-        V = Tensor(np.random.default_rng(1).normal(size=(4, 6)))
-        zero_proj = Tensor(np.zeros((6, 4)))
-        score = Tensor(np.random.default_rng(2).normal(size=(4, 1)))
-        a = head_attention(V, zero_proj, score)
-        np.testing.assert_allclose(a.data, 0.25, atol=1e-15)
+        V = np.random.default_rng(1).normal(size=(4, 6))
+        zero_proj = np.zeros((6, 4))
+        score = np.random.default_rng(2).normal(size=(4, 1))
+        a, _ = head_attention(V, zero_proj, score)
+        np.testing.assert_allclose(a, 0.25, atol=1e-15)
 
     def test_scalar_chain_matches_oracle(self):
         # D % 1, one hidden unit: logits are w * tanh(u * v)
-        V = Tensor([[0.0], [10.0]])
-        a = head_attention(V, Tensor([[1.0]]), Tensor([[1.0]]))
+        V = np.array([[0.0], [10.0]])
+        a, _ = head_attention(V, np.array([[1.0]]), np.array([[1.0]]))
         logits = [1.0 * math.tanh(1.0 * 0.0), 1.0 * math.tanh(1.0 * 10.0)]
-        np.testing.assert_allclose(a.data[:, 0], softmax_by_scalar(logits),
+        np.testing.assert_allclose(a[:, 0], softmax_by_scalar(logits),
                                    rtol=1e-12)
-        np.testing.assert_allclose(a.data[:, 0], [0.2689, 0.7311], atol=5e-5)
+        np.testing.assert_allclose(a[:, 0], [0.2689, 0.7311], atol=5e-5)
 
     def test_empty_bag_rejected(self):
         params = small_params(feature_dim=3)
         with pytest.raises(EmptyBagError):
-            head_attention(Tensor(np.zeros((0, 3))),
-                           params.heads[0]["gate_proj"],
-                           params.heads[0]["gate_score"])
+            head_attention(np.zeros((0, 3)),
+                           params.heads[0]["gate_proj"].data,
+                           params.heads[0]["gate_score"].data)
 
 
 def row_scaling_transform(gate_proj, gate_score):
@@ -130,77 +140,77 @@ class TestHeadFeature:
     def test_uniform_weights_scale_by_one_over_m(self):
         V = np.arange(1.0, 9.0).reshape(4, 2)
         params = row_scaling_transform(np.zeros((2, 3)), [[1.0], [2.0], [3.0]])
-        out, (a,) = patch_transform(Tensor(V), params)
-        np.testing.assert_array_equal(a.data, np.full((4, 1), 0.25))
-        np.testing.assert_allclose(out.data, V + V / 4.0)
+        out, (a,), _ = patch_transform(V, params)
+        np.testing.assert_array_equal(a, np.full((4, 1), 0.25))
+        np.testing.assert_allclose(out, V + V / 4.0)
 
     def test_one_hot_keeps_single_row(self):
         # logits (0, 0, 1000 tanh 5): the first two weights underflow to 0
         V = np.array([[0.0, 1.0], [0.0, 2.0], [5.0, 3.0]])
         params = row_scaling_transform([[1.0], [0.0]], [[1000.0]])
-        out, (a,) = patch_transform(Tensor(V), params)
-        np.testing.assert_array_equal(a.data, [[0.0], [0.0], [1.0]])
-        np.testing.assert_array_equal(out.data[:2], V[:2])
-        np.testing.assert_array_equal(out.data[2], 2.0 * V[2])
+        out, (a,), _ = patch_transform(V, params)
+        np.testing.assert_array_equal(a, [[0.0], [0.0], [1.0]])
+        np.testing.assert_array_equal(out[:2], V[:2])
+        np.testing.assert_array_equal(out[2], 2.0 * V[2])
 
     def test_rows_scaled_against_loop_oracle(self):
         rng = np.random.default_rng(3)
         V = rng.normal(size=(3, 2))
         params = row_scaling_transform(rng.normal(size=(2, 3)), rng.normal(size=(3, 1)))
-        out, (a,) = patch_transform(Tensor(V), params)
-        w = a.data[:, 0]
+        out, (a,), _ = patch_transform(V, params)
+        w = a[:, 0]
         for m in range(3):
             for d in range(2):
-                assert out.data[m, d] == max(V[m, d] + w[m] * V[m, d], 0.0)
+                assert out[m, d] == max(V[m, d] + w[m] * V[m, d], 0.0)
 
 
 class TestPatchTransform:
     @pytest.mark.parametrize("variant", ["gated", "sdpa"])
-    def test_features_that_require_grad_rejected(self, variant):
-        params = small_params(variant=variant)
-        V = Tensor(np.ones((3, 6)), requires_grad=True)
-        with pytest.raises(ContractError):
-            (patch_transform if variant == "gated" else sdpa_transform)(V, params)
+    def test_zero_heads_rejected_naming_the_count(self, variant):
+        params = small_params(variant=variant, heads=0)
+        transform = patch_transform if variant == "gated" else sdpa_transform
+        with pytest.raises(ContractError, match="0 heads"):
+            transform(np.ones((3, 6)), params)
 
     def test_zero_projection_reduces_to_relu(self):
         params = small_params()
         params.proj.data[:] = 0.0
         V = np.random.default_rng(4).normal(size=(5, 6))
-        out, _ = patch_transform(Tensor(V), params)
-        np.testing.assert_array_equal(out.data, np.maximum(V, 0.0))
+        out, _, _ = patch_transform(V, params)
+        np.testing.assert_array_equal(out, np.maximum(V, 0.0))
 
     def test_paper_scale_shapes(self):
         # 32 patches of 2048 features in, same shape out
         dims = ModelDims(feature_dim=2048, attn_hidden=8, tag_hidden=8, n_heads=1)
         params = ModelParams(SMALL_SCHEMA, dims, "gated", seed=0)
         V = np.random.default_rng(5).normal(size=(32, 2048))
-        out, weights = patch_transform(Tensor(V), params)
-        assert out.data.shape == (32, 2048)
-        assert len(weights) == 1 and weights[0].data.shape == (32, 1)
+        out, weights, _ = patch_transform(V, params)
+        assert out.shape == (32, 2048)
+        assert len(weights) == 1 and weights[0].shape == (32, 1)
 
     def test_row_permutation_equivariant(self):
         params = small_params()
         rng = np.random.default_rng(6)
         V = rng.normal(size=(7, 6))
         perm = rng.permutation(7)
-        direct, _ = patch_transform(Tensor(V[perm]), params)
-        swapped, _ = patch_transform(Tensor(V), params)
-        np.testing.assert_allclose(direct.data, swapped.data[perm], atol=1e-12)
+        direct, _, _ = patch_transform(V[perm], params)
+        swapped, _, _ = patch_transform(V, params)
+        np.testing.assert_allclose(direct, swapped[perm], atol=1e-12)
 
 
 class TestSdpaTransform:
     def test_single_patch_attention_is_one(self):
         params = small_params(variant="sdpa", heads=2)
         V = np.random.default_rng(7).normal(size=(1, 6))
-        out, mats = sdpa_transform(Tensor(V), params)
+        out, mats, _ = sdpa_transform(V, params)
         for m in mats:
             np.testing.assert_array_equal(m, [[1.0]])
-        assert out.data.shape == (1, 6)
+        assert out.shape == (1, 6)
 
     def test_rows_sum_to_one(self):
         params = small_params(variant="sdpa", heads=3)
         V = np.random.default_rng(8).normal(size=(9, 6))
-        _, mats = sdpa_transform(Tensor(V), params)
+        _, mats, _ = sdpa_transform(V, params)
         for m in mats:
             np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-12)
 
@@ -209,9 +219,9 @@ class TestSdpaTransform:
         rng = np.random.default_rng(9)
         V = rng.normal(size=(6, 6))
         perm = rng.permutation(6)
-        direct, _ = sdpa_transform(Tensor(V[perm]), params)
-        plain, _ = sdpa_transform(Tensor(V), params)
-        np.testing.assert_allclose(direct.data, plain.data[perm], atol=1e-12)
+        direct, _, _ = sdpa_transform(V[perm], params)
+        plain, _, _ = sdpa_transform(V, params)
+        np.testing.assert_allclose(direct, plain[perm], atol=1e-12)
 
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ConfigError):
@@ -222,54 +232,52 @@ class TestSdpaTransform:
 class TestTagAttention:
     def test_single_patch_returns_that_row(self):
         params = small_params()
-        Vp = Tensor(np.random.default_rng(10).normal(size=(1, 6)))
-        pooled, alpha = tag_attention(Vp, *params.tag_gates[0])
-        np.testing.assert_array_equal(alpha.data, [[1.0]])
-        np.testing.assert_array_equal(pooled.data[0], Vp.data[0])
+        Vp = np.random.default_rng(10).normal(size=(1, 6))
+        pooled, alpha, _ = tag_attention(Vp, *(t.data for t in params.tag_gates[0]))
+        np.testing.assert_array_equal(alpha, [[1.0]])
+        np.testing.assert_array_equal(pooled[0], Vp[0])
 
     def test_zero_gate_pools_to_column_mean(self):
         rng = np.random.default_rng(11)
-        Vp = Tensor(rng.normal(size=(5, 6)))
-        pooled, alpha = tag_attention(Vp, Tensor(np.zeros((6, 4))),
-                                      Tensor(rng.normal(size=(4, 1))))
-        np.testing.assert_allclose(alpha.data, 0.2, atol=1e-15)
-        np.testing.assert_allclose(pooled.data[0], Vp.data.mean(axis=0),
-                                   atol=1e-12)
+        Vp = rng.normal(size=(5, 6))
+        pooled, alpha, _ = tag_attention(Vp, np.zeros((6, 4)), rng.normal(size=(4, 1)))
+        np.testing.assert_allclose(alpha, 0.2, atol=1e-15)
+        np.testing.assert_allclose(pooled[0], Vp.mean(axis=0), atol=1e-12)
 
     def test_forced_three_quarters_weighting(self):
         # logits (ln 3, 0) make alpha = (0.75, 0.25) exactly
-        Vp = Tensor(np.eye(2))
-        gate_proj = Tensor([[5.0, 0.0], [0.0, 0.0]])
-        gate_score = Tensor([[math.log(3.0) / math.tanh(5.0)], [0.0]])
-        pooled, alpha = tag_attention(Vp, gate_proj, gate_score)
-        np.testing.assert_allclose(alpha.data[:, 0], [0.75, 0.25], rtol=1e-12)
-        np.testing.assert_allclose(pooled.data[0], [0.75, 0.25], rtol=1e-12)
+        Vp = np.eye(2)
+        gate_proj = np.array([[5.0, 0.0], [0.0, 0.0]])
+        gate_score = np.array([[math.log(3.0) / math.tanh(5.0)], [0.0]])
+        pooled, alpha, _ = tag_attention(Vp, gate_proj, gate_score)
+        np.testing.assert_allclose(alpha[:, 0], [0.75, 0.25], rtol=1e-12)
+        np.testing.assert_allclose(pooled[0], [0.75, 0.25], rtol=1e-12)
 
 
 class TestPredictTag:
     def test_zero_classifier_gives_uniform(self):
-        pooled = Tensor(np.random.default_rng(12).normal(size=(1, 6)))
-        probs = predict_tag(pooled, Tensor(np.zeros((6, 3))))
-        np.testing.assert_allclose(probs.data, 1.0 / 3.0, atol=1e-15)
+        pooled = np.random.default_rng(12).normal(size=(1, 6))
+        probs, _ = predict_tag(pooled, np.zeros((6, 3)))
+        np.testing.assert_allclose(probs, 1.0 / 3.0, atol=1e-15)
 
     def test_sixteen_class_head(self):
-        pooled = Tensor(np.random.default_rng(13).normal(size=(1, 6)))
-        probs = predict_tag(pooled, Tensor(np.random.default_rng(14).normal(size=(6, 16))))
-        assert probs.data.shape == (1, 16)
-        assert abs(probs.data.sum() - 1.0) <= 1e-12
+        pooled = np.random.default_rng(13).normal(size=(1, 6))
+        probs, _ = predict_tag(pooled, np.random.default_rng(14).normal(size=(6, 16)))
+        assert probs.shape == (1, 16)
+        assert abs(probs.sum() - 1.0) <= 1e-12
 
     def test_matches_scalar_softmax_oracle(self):
         rng = np.random.default_rng(15)
         pooled = rng.normal(size=(1, 4))
         w = rng.normal(size=(4, 3))
-        probs = predict_tag(Tensor(pooled), Tensor(w)).data[0]
+        probs = predict_tag(pooled, w)[0][0]
         np.testing.assert_allclose(
             probs, softmax_by_scalar(list((pooled @ w)[0])), rtol=1e-12
         )
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            predict_tag(Tensor(np.ones((1, 5))), Tensor(np.ones((6, 3))))
+            predict_tag(np.ones((1, 5)), np.ones((6, 3)))
 
 
 class TestForward:
@@ -331,41 +339,60 @@ class TestLayerGradients:
 
     def test_head_attention_including_the_input(self):
         rng = np.random.default_rng(41)
-        V = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
-        gate_proj = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        gate_score = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
+        V = leaf(rng.normal(size=(5, 4)))
+        gate_proj = leaf(rng.normal(size=(4, 3)))
+        gate_score = leaf(rng.normal(size=(3, 1)))
         w = rng.normal(size=(5, 1))
-        assert_grads_match(lambda: dot(head_attention(V, gate_proj, gate_score), w),
-                           [V, gate_proj, gate_score], rel=1e-6, abs_=1e-10)
+
+        def loss():
+            a, backward = head_attention(V.data, gate_proj.data, gate_score.data)
+            return weighed(a, w, lambda g: backward(g, V.grad, gate_proj.grad,
+                                                    gate_score.grad))
+
+        assert_grads_match(loss, [V, gate_proj, gate_score], rel=1e-6, abs_=1e-10)
 
     def test_tag_attention_including_the_input(self):
         rng = np.random.default_rng(43)
-        Vp = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
-        gate_proj = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        gate_score = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
+        Vp = leaf(rng.normal(size=(6, 4)))
+        gate_proj = leaf(rng.normal(size=(4, 3)))
+        gate_score = leaf(rng.normal(size=(3, 1)))
         w = rng.normal(size=(1, 4))
-        assert_grads_match(lambda: dot(tag_attention(Vp, gate_proj, gate_score)[0], w),
-                           [Vp, gate_proj, gate_score], rel=1e-6, abs_=1e-10)
+
+        def loss():
+            pooled, _, backward = tag_attention(Vp.data, gate_proj.data, gate_score.data)
+            return weighed(pooled, w, lambda g: backward(g, Vp.grad, gate_proj.grad,
+                                                         gate_score.grad))
+
+        assert_grads_match(loss, [Vp, gate_proj, gate_score], rel=1e-6, abs_=1e-10)
 
     @pytest.mark.parametrize("variant,heads", [("gated", 2), ("gated", 1), ("sdpa", 2),
                                                ("sdpa", 3)])
     def test_transform(self, variant, heads):
         params = small_params(variant=variant, heads=heads)
         rng = np.random.default_rng(47)
-        V = Tensor(rng.normal(size=(5, 6)))
+        V = rng.normal(size=(5, 6))
         w = rng.normal(size=(5, 6))
         transform = patch_transform if variant == "gated" else sdpa_transform
         tensors = [t for head in params.heads for t in head.values()] + [params.proj]
-        assert_grads_match(lambda: dot(transform(V, params)[0], w), tensors,
-                           rel=1e-6, abs_=1e-10)
+
+        def loss():
+            out, _, backward = transform(V, params)
+            return weighed(out, w, backward)
+
+        assert_grads_match(loss, tensors, rel=1e-6, abs_=1e-10)
 
     def test_predict_tag_including_the_input(self):
         rng = np.random.default_rng(53)
-        pooled = Tensor(rng.normal(size=(1, 6)), requires_grad=True)
-        classifier = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        pooled = leaf(rng.normal(size=(1, 6)))
+        classifier = leaf(rng.normal(size=(6, 4)))
         w = rng.normal(size=(1, 4))
-        assert_grads_match(lambda: dot(predict_tag(pooled, classifier), w),
-                           [pooled, classifier], rel=1e-6, abs_=1e-10)
+
+        def loss():
+            probs, backward = predict_tag(pooled.data, classifier.data)
+            return weighed(probs, w,
+                           lambda g: add_into(pooled)(backward(g, classifier.grad)))
+
+        assert_grads_match(loss, [pooled, classifier], rel=1e-6, abs_=1e-10)
 
 
 class TestFullModelGradients:
@@ -407,7 +434,7 @@ class TestCopy:
         named, dup_named = params.named_parameters(), dup.named_parameters()
         assert [n for n, _ in dup_named] == [n for n, _ in named]
         for (_, a), (_, b) in zip(named, dup_named):
-            assert b.requires_grad
+            assert np.shares_memory(b.grad, dup.grad)
             assert a.data.shape == b.data.shape
             assert a.data.tobytes() == b.data.tobytes()
 

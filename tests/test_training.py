@@ -77,14 +77,19 @@ class TestMultiTaskLoss:
 
 
 class OneWeight:
-    """The smallest thing Adam trains: one 1x1 matrix `w` viewing `flat`."""
+    """The smallest thing Adam trains: one 1x1 matrix `w` viewing `flat`,
+    whose gradient views `grad`."""
 
     def __init__(self, value):
         self.flat = np.array([value])
-        self.w = Tensor(self.flat.reshape(1, 1), requires_grad=True)
+        self.grad = np.zeros(1)
+        self.has_grad = False
+        self.w = Tensor(self.flat.reshape(1, 1), grad=self.grad.reshape(1, 1))
 
-    def named_parameters(self):
-        return [("w", self.w)]
+    def set_grad(self, value):
+        """Stand in for a backward that leaves `value` as the gradient."""
+        self.grad[0] = value
+        self.has_grad = True
 
 
 class TestAdam:
@@ -99,11 +104,11 @@ class TestAdam:
         params = OneWeight(2.0)
         w = params.w
         adam = Adam(params, lr=0.1)
-        w.grad = np.array([[1.0]])
+        params.set_grad(1.0)
         adam.step()
         after_first = w.data.copy()
         m1, v1 = adam.m[0].copy(), adam.v[0].copy()
-        w.grad = np.array([[0.0]])
+        params.set_grad(0.0)
         adam.step()
         np.testing.assert_allclose(adam.m[0], 0.9 * m1)
         np.testing.assert_allclose(adam.v[0], 0.999 * v1)
@@ -111,7 +116,7 @@ class TestAdam:
         params2 = OneWeight(5.0)
         w2 = params2.w
         adam2 = Adam(params2, lr=0.1)
-        w2.grad = np.array([[0.0]])
+        params2.set_grad(0.0)
         adam2.step()
         np.testing.assert_array_equal(w2.data, [[5.0]])
         assert not np.array_equal(w.data, after_first)  # nonzero m keeps moving
@@ -121,7 +126,7 @@ class TestAdam:
         params = OneWeight(0.0)
         w = params.w
         adam = Adam(params, lr=lr)
-        w.grad = np.array([[1.0]])
+        params.set_grad(1.0)
         adam.step()
         # hand-evaluated recurrence: m_hat = v_hat = 1 at t = 1
         expected = -lr * 1.0 / (math.sqrt(1.0) + adam.epsilon)
@@ -138,7 +143,8 @@ class TestAdam:
         for t in (1, 2, 3):
             grads = [rng.standard_normal(p.data.shape) for _, p in params.named_parameters()]
             for (_, p), g in zip(params.named_parameters(), grads):
-                p.grad = g
+                p.grad[...] = g
+            params.has_grad = True
             adam.step()
             g = np.concatenate([g.ravel() for g in grads])
             m = 0.9 * m + (1 - 0.9) * g
@@ -150,9 +156,18 @@ class TestAdam:
         assert all(np.shares_memory(t.data, flat) for _, t in params.named_parameters())
 
     def test_missing_gradient_rejected(self):
-        adam = Adam(OneWeight(1.0))
+        params = OneWeight(1.0)
+        adam = Adam(params)
         with pytest.raises(ContractError):
             adam.step()
+        # a step, then zero_grad: the next step again has no gradient
+        params.set_grad(1.0)
+        adam.step()
+        adam.zero_grad()
+        assert params.grad[0] == 0.0
+        with pytest.raises(ContractError):
+            adam.step()
+        assert adam.t == 1
 
 
 class TestTrain:
