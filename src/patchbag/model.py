@@ -13,6 +13,11 @@ A bag of M patch feature rows V (M x D) flows through:
 Each layer works on arrays and returns its value with a backward written
 by hand in numpy; `forward` chains them into one backward per bag, which
 adds the bag's gradient into one flat vector for every matrix at once.
+
+The layers take the patch axis as -2, so `forward` also runs a list of
+bags of one shape as a (B, M, D) stack through the same functions: for
+inference only, with no backward, and bag for bag the same bytes as one
+bag at a time. A backward is only ever made for one bag's 2-D arrays.
 """
 
 import math
@@ -169,7 +174,8 @@ class AttentionRecord:
     """Per-bag attention weights, for export and visualization.
 
     head_weights is empty for the sdpa variant, whose per-head weights are
-    M x M matrices rather than one vector per head.
+    M x M matrices rather than one vector per head. The record of a stack
+    of B bags has the tuple of their ids and (B, M) weight arrays.
     """
 
     bag_id: str
@@ -264,15 +270,15 @@ class ModelParams:
 
 
 def _gate(name, V, gate_proj, gate_score):
-    """(M, 1) softmax weights over the M rows of V, from tanh(V W) w.
+    """(..., M, 1) softmax weights over the M rows of V, from tanh(V W) w.
 
     backward(g, g_V, g_proj, g_score) adds the gradients at V (unless g_V
     is None), W and w into those arrays.
     """
-    if V.shape[0] == 0:
+    if V.shape[-2] == 0:
         raise EmptyBagError(f"{name}: bag has no patches")
     hidden = np.tanh(V @ gate_proj)
-    a = ad.softmax(hidden @ gate_score, axis=0)
+    a = ad.softmax(hidden @ gate_score, axis=-2)
 
     def backward(g, g_V, g_proj, g_score):
         g_logits = ad.softmax_grad(a, g, axis=0)
@@ -299,7 +305,7 @@ def _residual_projection(V, outs, proj, head_grads):
     """
     if not outs:
         raise ContractError("transform: the model has 0 heads; it needs 1 or more")
-    stacked = np.concatenate(outs, axis=1)
+    stacked = np.concatenate(outs, axis=-1)
     pre = V + stacked @ proj.data
     mask = pre > 0.0
 
@@ -338,14 +344,14 @@ def sdpa_transform(V, params: ModelParams):
     Returns V', the per-head (M, M) row-stochastic attention arrays and a
     backward like patch_transform's.
     """
-    if V.shape[0] == 0:
+    if V.shape[-2] == 0:
         raise EmptyBagError("sdpa_transform: bag has no patches")
     saved = []
     for head in params.heads:
         q, k, v = (V @ head[key].data for key in ("query", "key", "value"))
-        kT = np.ascontiguousarray(k.T)
-        scale = 1.0 / math.sqrt(q.shape[1])     # every head is d_head wide
-        saved.append((head, q, kT, v, ad.softmax((q @ kT) * scale, axis=1)))
+        kT = np.ascontiguousarray(np.swapaxes(k, -1, -2))
+        scale = 1.0 / math.sqrt(q.shape[-1])    # every head is d_head wide
+        saved.append((head, q, kT, v, ad.softmax((q @ kT) * scale, axis=-1)))
 
     def head_grads(pieces):
         for (head, q, kT, v, attn), piece in zip(saved, pieces):
@@ -360,7 +366,7 @@ def sdpa_transform(V, params: ModelParams):
 
 
 def tag_attention(Vp, gate_proj, gate_score):
-    """Pool V' into one task vector: the (1, D) summary and the (M, 1) weights.
+    """Pool V' into one task vector: the (..., 1, D) summary and (..., M, 1) weights.
 
     backward(g, g_Vp, g_proj, g_score) adds the gradients at V' (unless
     g_Vp is None) and the gate's two matrices into those arrays.
@@ -373,19 +379,19 @@ def tag_attention(Vp, gate_proj, gate_score):
             g_Vp += alpha @ g
         gate_backward(g_alpha, g_Vp, g_proj, g_score)
 
-    return alpha.T @ Vp, alpha, backward
+    return np.swapaxes(alpha, -1, -2) @ Vp, alpha, backward
 
 
 def predict_tag(pooled, classifier):
-    """Class probabilities for one task, shape (1, n_classes).
+    """Class probabilities for one task, shape (..., 1, n_classes).
 
     backward(g, g_classifier) adds the gradient at the classifier into
     g_classifier and returns the gradient at pooled.
     """
-    if pooled.shape[1] != classifier.shape[0]:
+    if pooled.shape[-1] != classifier.shape[0]:
         raise DimensionError(f"predict_tag: pooled {pooled.shape} vs classifier "
                              f"{classifier.shape}")
-    probs = ad.softmax(pooled @ classifier, axis=1)
+    probs = ad.softmax(pooled @ classifier, axis=-1)
 
     def backward(g, g_classifier):
         g_logits = ad.softmax_grad(probs, g, axis=1)
@@ -396,37 +402,48 @@ def predict_tag(pooled, classifier):
 
 
 def forward(bag, params: ModelParams):
-    """Run one bag through the network.
+    """Run one bag, or a list of bags of one feature shape, through the network.
 
     `bag` is a PatchBag (or anything with .features and .bag_id). Returns
     (probs, record): one (1, n_classes_k) probability tensor per task, and
     the attention weights. The K tensors share one backward, which adds the
     bag's gradient into params.grad: tasks in order, then the transform.
+
+    A list of B bags of one (M, D) shape runs as one (B, M, D) stack: each
+    tensor is (B, 1, n_classes_k), has no backward, and holds in row i the
+    bytes bag i gives alone; the record is the stack's (see AttentionRecord).
     """
-    feats = np.asarray(bag.features, dtype=np.float64)
-    if feats.ndim != 2:
-        raise DimensionError(f"forward: features must be 2-D, got {feats.shape}")
-    if feats.shape[0] == 0:
-        raise EmptyBagError(f"forward: bag {bag.bag_id!r} has no patches")
-    if feats.shape[1] != params.dims.feature_dim:
+    stacked = isinstance(bag, list)
+    if stacked:
+        feats, bag_id = _stack(bag), tuple(b.bag_id for b in bag)
+    else:
+        feats, bag_id = np.asarray(bag.features, dtype=np.float64), bag.bag_id
+    shape = feats.shape[1:] if stacked else feats.shape
+    if len(shape) != 2:
+        raise DimensionError(f"forward: features must be 2-D, got {shape}")
+    if shape[0] == 0:
+        raise EmptyBagError(f"forward: bag {bag_id!r} has no patches")
+    if shape[1] != params.dims.feature_dim:
         raise DimensionError(
-            f"forward: bag feature dim {feats.shape[1]} != model "
+            f"forward: bag feature dim {shape[1]} != model "
             f"feature_dim {params.dims.feature_dim}"
         )
-    record = AttentionRecord(bag_id=bag.bag_id)
+    record = AttentionRecord(bag_id=bag_id)
     Vp, transform_backward = feats, None
     if params.dims.n_heads > 0 and params.variant == "gated":
         Vp, head_w, transform_backward = patch_transform(feats, params)
-        record.head_weights = [w[:, 0].copy() for w in head_w]
+        record.head_weights = [w[..., 0].copy() for w in head_w]
     elif params.dims.n_heads > 0:
         Vp, _, transform_backward = sdpa_transform(feats, params)
     probs, task_backwards = [], []
     for (gate_proj, gate_score), classifier in zip(params.tag_gates, params.classifiers):
         pooled, alpha, pool_backward = tag_attention(Vp, gate_proj.data, gate_score.data)
-        record.tag_weights.append(alpha[:, 0].copy())
+        record.tag_weights.append(alpha[..., 0].copy())
         p, classify_backward = predict_tag(pooled, classifier.data)
         probs.append(p)
         task_backwards.append((pool_backward, classify_backward))
+    if stacked:
+        return [Tensor(p) for p in probs], record
 
     def backward(g_rows):
         g_Vp = None if transform_backward is None else np.zeros_like(Vp)
@@ -439,6 +456,20 @@ def forward(bag, params: ModelParams):
         params.has_grad = True
 
     return [Tensor(p, backward) for p in probs], record
+
+
+def _stack(bags):
+    """The (B, M, D) stack of the bags' features; they must share one shape."""
+    if not bags:
+        raise ContractError("forward: got an empty list of bags")
+    first = np.shape(bags[0].features)
+    for b in bags:
+        if np.shape(b.features) != first:
+            raise DimensionError(
+                f"forward: bag {b.bag_id!r} has features {np.shape(b.features)}, "
+                f"bag {bags[0].bag_id!r} {first}; a stack needs one shape"
+            )
+    return np.stack([np.asarray(b.features, dtype=np.float64) for b in bags])
 
 
 def predict_probs(bag, params: ModelParams):

@@ -4,6 +4,12 @@ evaluation, and attention-ranking export.
 Everything is deterministic given the config seed: parameter init, epoch
 shuffles and batching all derive from it, so reruns produce bit-identical
 checkpoints, histories and reports on the same platform.
+
+Evaluation (also validation inside `train`) and export run bags of one
+feature shape as stacks of up to STACK_BAGS through one `forward` each,
+which gives every bag the bytes it gets alone. Training steps run one
+`forward` per bag: stacking their backward would change the order in
+which parameter gradients are summed, and so the trained bytes.
 """
 
 import logging
@@ -15,10 +21,12 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, ContractError
 from .metrics import MetricsReport, build_report
-from .model import ModelDims, ModelParams, TagSchema, forward, predict_probs
+from .model import ModelDims, ModelParams, TagSchema, forward
 from .plots import attention_bars_svg
 
 log = logging.getLogger(__name__)
+
+STACK_BAGS = 32   # bags per stacked forward in evaluate and export_attention
 
 
 @dataclass
@@ -236,12 +244,29 @@ def evaluate(params: ModelParams, bags) -> MetricsReport:
     """Metrics of argmax predictions over a dataset; order-invariant."""
     if not bags:
         raise ConfigError("evaluate: empty dataset")
-    predictions = []
-    for bag in bags:
-        probs, _ = predict_probs(bag, params)
-        predictions.append([int(np.argmax(p)) for p in probs])
+    predictions = np.empty((len(bags), params.schema.n_tasks), dtype=np.int64)
+    for chunk, probs, _ in _stacked_forwards(params, bags):
+        for k, p in enumerate(probs):
+            predictions[chunk, k] = np.argmax(p.data[:, 0], axis=-1)
     truths = np.array([b.labels for b in bags], dtype=np.int64)
-    return build_report(params.schema, truths, np.array(predictions, dtype=np.int64))
+    return build_report(params.schema, truths, predictions)
+
+
+def _stacked_forwards(params: ModelParams, bags):
+    """Yields (indices, probs, record) of one stacked `forward` at a time.
+
+    Bags are grouped by feature shape (M, D), groups in first-seen order,
+    and each group is cut into stacks of up to STACK_BAGS bags; indices
+    are the stack's positions in `bags`.
+    """
+    groups = {}
+    for i, bag in enumerate(bags):
+        groups.setdefault(np.shape(bag.features), []).append(i)
+    for indices in groups.values():
+        for start in range(0, len(indices), STACK_BAGS):
+            chunk = indices[start:start + STACK_BAGS]
+            probs, record = forward([bags[i] for i in chunk], params)
+            yield chunk, probs, record
 
 
 def history_csv_lines(history, schema: TagSchema):
@@ -266,33 +291,37 @@ def write_history_csv(history, schema: TagSchema, path) -> None:
 
 
 def rank_patches(weights):
-    """Indices sorted by weight descending, ties broken by patch index."""
-    return np.argsort(-np.asarray(weights), kind="stable")
+    """Indices sorting the last axis by weight descending, ties by patch index."""
+    return np.argsort(-np.asarray(weights), axis=-1, kind="stable")
 
 
 def export_attention(params: ModelParams, bags, out_dir, svg: bool = False):
     """Write per-bag CSVs ranking patches by per-task attention weight.
 
     Weights are written with repr(), so parsing them back gives the exact
-    float64 values the forward pass produced.
+    float64 values the forward pass produced. Each stack's files are
+    written as soon as it has run; the paths come back in bag order.
     """
     os.makedirs(out_dir, exist_ok=True)
-    schema = params.schema
-    written = []
-    for bag in bags:
-        _, record = predict_probs(bag, params)
-        path = os.path.join(out_dir, f"attention_{bag.bag_id}.csv")
-        lines = ["task,rank,patch_index,weight"]
-        for task, weights in zip(schema.task_names, record.tag_weights):
-            order = rank_patches(weights)
-            lines.extend(f"{task},{rank},{patch},{weight!r}" for rank, (patch, weight)
-                         in enumerate(zip(order.tolist(), weights[order].tolist())))
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        written.append(path)
-        if svg:
-            svg_path = os.path.join(out_dir, f"attention_{bag.bag_id}.svg")
-            with open(svg_path, "w", encoding="utf-8") as fh:
-                fh.write(attention_bars_svg(record.tag_weights, schema.task_names))
-            written.append(svg_path)
-    return written
+    task_names = params.schema.task_names
+    written = [None] * len(bags)
+    for chunk, _, record in _stacked_forwards(params, bags):
+        weights = np.stack(record.tag_weights, axis=1)          # (B, K, M)
+        order = rank_patches(weights)
+        ranked = np.take_along_axis(weights, order, axis=-1)
+        for i, bag_order, bag_ranked, bag_weights in zip(chunk, order.tolist(),
+                                                         ranked.tolist(), weights):
+            path = os.path.join(out_dir, f"attention_{bags[i].bag_id}.csv")
+            lines = ["task,rank,patch_index,weight"]
+            for task, patches, task_weights in zip(task_names, bag_order, bag_ranked):
+                lines.extend(f"{task},{rank},{patch},{weight!r}" for rank, (patch, weight)
+                             in enumerate(zip(patches, task_weights)))
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write("\n".join(lines) + "\n")
+            written[i] = [path]
+            if svg:
+                svg_path = os.path.join(out_dir, f"attention_{bags[i].bag_id}.svg")
+                with open(svg_path, "w", encoding="utf-8") as fh:
+                    fh.write(attention_bars_svg(bag_weights, task_names))
+                written[i].append(svg_path)
+    return [path for paths in written for path in paths]

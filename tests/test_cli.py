@@ -197,6 +197,19 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "color:2" in err and "tint:3" in err
 
+    @pytest.mark.parametrize("command", ["eval", "export-attention"])
+    def test_feature_dim_unlike_the_checkpoint_exit_4(self, tmp_path, capsys, command):
+        _, ckpt = self.setup_run(tmp_path)
+        cfg = write_config(tmp_path, {"synth": {**SMALL_SYNTH["synth"], "feature_dim": 6}},
+                           name="synth6.json")
+        data6 = tmp_path / "data6"
+        assert cli.main(["synth", "--config", cfg, "--out", str(data6)]) == 0
+        code = cli.main([command, "--checkpoint", str(ckpt), "--data", str(data6),
+                         "--out", str(tmp_path / "e")])
+        assert code == 4
+        assert ("error: forward: bag feature dim 6 != model feature_dim 8"
+                in capsys.readouterr().err)
+
     def test_missing_checkpoint_exit_2(self, tmp_path, capsys):
         data = make_data_dir(tmp_path)
         code = cli.main(["eval", "--checkpoint", str(tmp_path / "no.ckpt"),

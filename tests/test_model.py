@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from patchbag import autodiff as ad
 from patchbag import model
 from patchbag.autodiff import Tensor
 from patchbag.errors import (
@@ -14,6 +15,7 @@ from patchbag.errors import (
     EmptyBagError,
     IntegrityError,
     ParseError,
+    PatchbagError,
 )
 from patchbag.model import (
     DEFAULT_SCHEMA,
@@ -332,6 +334,63 @@ class TestForward:
         probs, record = predict_probs(bag, params)
         assert record.head_weights == []
         assert len(probs) == 2
+
+
+class TestStackedForward:
+    @pytest.mark.parametrize("variant,heads", [("gated", 3), ("gated", 1), ("gated", 0),
+                                               ("sdpa", 2)])
+    @pytest.mark.parametrize("n_bags", [1, 5])
+    def test_each_stacked_bag_equals_its_own_forward_bit_for_bit(self, variant, heads,
+                                                                 n_bags):
+        params = small_params(variant=variant, heads=heads)
+        rng = np.random.default_rng(21)
+        bags = [random_bag(rng, 7, 6, bag_id=f"b{i}") for i in range(n_bags)]
+        probs, record = forward(bags, params)
+        assert record.bag_id == tuple(b.bag_id for b in bags)
+        assert [p.data.shape for p in probs] == [(n_bags, 1, 2), (n_bags, 1, 3)]
+        assert len(record.head_weights) == (heads if variant == "gated" else 0)
+        for i, bag in enumerate(bags):
+            alone, rec = forward(bag, params)
+            for p, q in zip(probs, alone):
+                assert np.array_equal(p.data[i], q.data)
+            for w, v in zip(record.tag_weights + record.head_weights,
+                            rec.tag_weights + rec.head_weights, strict=True):
+                assert np.array_equal(w[i], v)
+
+    def test_mixed_shapes_rejected_naming_both(self):
+        params = small_params()
+        rng = np.random.default_rng(22)
+        bags = [random_bag(rng, 4, 6, bag_id="four"), random_bag(rng, 5, 6, bag_id="five")]
+        with pytest.raises(DimensionError, match=r"\(5, 6\).*\(4, 6\)"):
+            forward(bags, params)
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(PatchbagError, match="empty list"):
+            forward([], small_params())
+
+    def test_four_dimensional_stack_rejected(self):
+        params = small_params()
+        bag = PatchBag("ok", np.ones((2, 6)), (0, 0))
+        bag.features = np.ones((3, 2, 6))  # bypass the constructor guard
+        with pytest.raises(DimensionError, match=r"2-D, got \(3, 2, 6\)"):
+            forward([bag, bag], params)
+
+    def test_feature_dim_checked_against_the_model(self):
+        rng = np.random.default_rng(23)
+        with pytest.raises(DimensionError, match="feature dim 5 != model feature_dim 6"):
+            forward([random_bag(rng, 4, 5)], small_params())
+
+    def test_stacked_probabilities_cannot_train(self):
+        params = small_params()
+        rng = np.random.default_rng(24)
+        bags = [random_bag(rng, 4, 6, bag_id=f"b{i}") for i in range(2)]
+        probs, _ = forward(bags, params)
+        rows = [[Tensor(p.data[i], p._backward) for i in range(len(bags))]
+                for p in probs]
+        loss = multi_task_loss(rows, [b.labels for b in bags], (1.0, 1.0))
+        with pytest.raises(ContractError, match="no backward"):
+            ad.backward(loss)
+        assert not params.has_grad and not params.grad.any()
 
 
 class TestLayerGradients:

@@ -6,9 +6,12 @@ import pytest
 
 from patchbag.autodiff import Tensor
 from patchbag.errors import ConfigError, ContractError
+from patchbag.metrics import build_report
 from patchbag.model import ModelDims, ModelParams, TagSchema, predict_probs
-from patchbag.synth import SynthConfig, generate, split
+from patchbag.plots import attention_bars_svg
+from patchbag.synth import PatchBag, SynthConfig, generate, split
 from patchbag.training import (
+    STACK_BAGS,
     Adam,
     TrainConfig,
     evaluate,
@@ -27,6 +30,21 @@ def tiny_dataset(n_bags=40, seed=0):
                          n_bags=n_bags, signal_fraction=0.34, noise_std=0.15,
                          seed=seed)
     return generate(config)
+
+
+def mixed_bags(seed=0):
+    """Bags of M 5 (a group of two full stacks and a remainder), 3 and 8, interleaved."""
+    rng = np.random.default_rng(seed)
+    sizes = [5] * (2 * STACK_BAGS + 3) + [3] * 10 + [8]
+    sizes = [sizes[i] for i in rng.permutation(len(sizes))]
+    return [PatchBag(f"bag{i:03d}", rng.normal(size=(m, 10)),
+                     (int(rng.integers(3)), int(rng.integers(2))))
+            for i, m in enumerate(sizes)]
+
+
+def stack_params(variant, heads):
+    dims = ModelDims(feature_dim=10, attn_hidden=4, tag_hidden=4, n_heads=heads)
+    return ModelParams(SCHEMA, dims, variant, 1)
 
 
 def as_prob_tensors(rows):
@@ -232,6 +250,16 @@ class TestEvaluate:
         shuffled = evaluate(params, list(reversed(bags)))
         assert report.avg_macro_f1 == shuffled.avg_macro_f1
 
+    @pytest.mark.parametrize("variant,heads", [("gated", 3), ("sdpa", 2)])
+    def test_report_equals_one_bag_at_a_time(self, variant, heads):
+        params = stack_params(variant, heads)
+        bags = mixed_bags()
+        predictions = [[int(np.argmax(p)) for p in predict_probs(bag, params)[0]]
+                       for bag in bags]
+        want = build_report(SCHEMA, np.array([b.labels for b in bags]),
+                            np.array(predictions))
+        assert evaluate(params, bags).to_json() == want.to_json()
+
     def test_empty_dataset_rejected(self):
         dims = ModelDims(feature_dim=10, n_heads=0)
         params = ModelParams(SCHEMA, dims, "gated", 0)
@@ -275,6 +303,24 @@ class TestRanking:
             idx = np.arange(len(w))
             np.testing.assert_array_equal(rank_patches(w),
                                           idx[np.lexsort((idx, -w))])
+
+    @pytest.mark.parametrize("variant,heads", [("gated", 3), ("sdpa", 2)])
+    def test_export_files_equal_one_bag_at_a_time(self, tmp_path, variant, heads):
+        params = stack_params(variant, heads)
+        bags = mixed_bags(seed=1)
+        written = export_attention(params, bags, tmp_path, svg=True)
+        assert written == [str(tmp_path / f"attention_{b.bag_id}.{ext}")
+                           for b in bags for ext in ("csv", "svg")]
+        for bag in bags:
+            _, record = predict_probs(bag, params)
+            lines = ["task,rank,patch_index,weight"]
+            for task, weights in zip(SCHEMA.task_names, record.tag_weights):
+                lines += [f"{task},{rank},{patch},{float(weights[patch])!r}"
+                          for rank, patch in enumerate(rank_patches(weights).tolist())]
+            path = tmp_path / f"attention_{bag.bag_id}"
+            assert path.with_suffix(".csv").read_text() == "\n".join(lines) + "\n"
+            assert path.with_suffix(".svg").read_text() == attention_bars_svg(
+                record.tag_weights, SCHEMA.task_names)
 
     def test_export_matches_forward_record_bit_exact(self, tmp_path):
         bags = tiny_dataset(n_bags=3)
