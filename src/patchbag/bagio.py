@@ -2,13 +2,16 @@
 
 A dataset directory holds exactly two files:
 
-  manifest      UTF-8 text: format version, schema, then one line per bag
-                with id, patch count, byte offset and task=label pairs
+  manifest      UTF-8 text: format version, feature_dim, schema, bag count,
+                then one `bag ID patches=M offset=O task=label ...` line per
+                bag, its labels in schema task order, and an `end` line
   features.bin  every bag's (M, D) feature matrix as little-endian float64,
                 row-major, concatenated in manifest order
 
-The round trip is bit-exact; offsets and file length are cross-checked so
-truncation or padding is detected and reported per bag.
+A bag's offset is the running byte total of the bags before it. The reader
+accepts exactly the layout `write_bags` emits, field by field in that order;
+anything else is a ParseError, and a blob shorter or longer than the bags'
+bytes an IntegrityError. The round trip is bit-exact.
 """
 
 import os
@@ -67,6 +70,10 @@ def write_bags(dataset, directory, schema: TagSchema) -> None:
                 f"write_bags: bag {bag.bag_id!r} has {len(bag.labels)} labels, "
                 f"schema has {schema.n_tasks} tasks"
             )
+        for (task, classes), label in zip(schema.tasks, bag.labels):
+            if not 0 <= label < len(classes):
+                raise ConfigError(f"write_bags: bag {bag.bag_id!r} label {label} is "
+                                  f"not a class of task {task!r}")
         pairs = " ".join(
             f"{name}={label}" for name, label in zip(schema.task_names, bag.labels)
         )
@@ -89,26 +96,19 @@ def read_bags(directory):
     """Load a bag directory; returns (bags, schema)."""
     path = os.path.join(directory, MANIFEST_NAME)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lines = fh.read().split("\n")
     except UnicodeDecodeError:
         raise ParseError(f"{path}: manifest is not UTF-8") from None
-    if not lines or lines[0].split() != [BAGS_MAGIC, str(BAGS_VERSION)]:
+    if lines[0] != f"{BAGS_MAGIC} {BAGS_VERSION}":
         raise ParseError(f"{path}: missing or unsupported magic line")
-    if lines[-1] == "":
-        lines.pop()
-    if not lines or lines[-1] != "end":
+    if lines[-2:] != ["end", ""]:
         raise ParseError(f"{path}: missing 'end' line")
-    body = lines[1:-1]
-
-    def header(i):
-        return body[i] if i < len(body) else ""
-
-    feature_dim = count_line(path, header(0), "feature_dim")
-    n_schema_lines = 1 + count_line(path, header(1), "tasks")
-    schema = parse_schema_lines(body[1:1 + n_schema_lines], path=path)
-    n_bags = count_line(path, header(1 + n_schema_lines), "bags")
-    bag_lines = body[2 + n_schema_lines:]
+    it = iter(lines[1:-2])
+    feature_dim = count_line(path, next(it, ""), "feature_dim")
+    schema = parse_schema_lines(it, path=path)
+    n_bags = count_line(path, next(it, ""), "bags")
+    bag_lines = list(it)
     if len(bag_lines) != n_bags:
         raise ParseError(
             f"{path}: manifest declares {n_bags} bags but lists {len(bag_lines)}"
@@ -118,55 +118,46 @@ def read_bags(directory):
     with open(blob_path, "rb") as fh:
         blob = fh.read()
 
-    known = set(schema.task_names)
+    keys = ("patches", "offset", *schema.task_names)
     ids = set()
     bags = []
+    offset = 0
     for line in bag_lines:
-        toks = line.split()
-        if len(toks) < 4 or toks[0] != "bag":
-            raise ParseError(f"{path}: bad bag line {line!r}")
+        toks = line.split(" ")
+        if len(toks) != 2 + len(keys) or toks[0] != "bag":
+            raise ParseError(
+                f"{path}: bad bag line {line!r}: expected 'bag ID patches=M "
+                f"offset=O' then one task=label for each of "
+                f"{', '.join(schema.task_names)}, in order, none missing or repeated"
+            )
         bag_id = toks[1]
         if not _id_is_file_name(bag_id):
             raise ParseError(f"{path}: bag id {bag_id!r} {_ID_RULE}")
         if bag_id in ids:
             raise ParseError(f"{path}: duplicate bag id {bag_id!r}")
         ids.add(bag_id)
-        fields = dict(t.split("=", 1) for t in toks[2:] if "=" in t)
-        if len(fields) != len(toks) - 2:
-            raise ParseError(f"{path}: bad or repeated key=value in line {line!r}")
-        n_patches = header_int(path, fields.pop("patches", ""), f"bag {bag_id} patches")
+        n_patches, bag_offset, *labels = (
+            _field(path, bag_id, key, tok) for key, tok in zip(keys, toks[2:]))
         if n_patches < 1:
             raise ParseError(f"{path}: bag {bag_id!r} declares patches=0")
-        offset = header_int(path, fields.pop("offset", ""), f"bag {bag_id} offset")
-
-        labels = [None] * schema.n_tasks
-        for task, value in fields.items():
-            if task not in known:
-                raise SchemaMismatchError(
-                    f"{path}: bag {bag_id!r} labels unknown task {task!r} "
-                    f"(schema tasks: {', '.join(schema.task_names)})"
-                )
-            idx = schema.task_index(task)
-            label = header_int(path, value, f"bag {bag_id} {task}")
-            if not (0 <= label < len(schema.classes(task))):
-                raise SchemaMismatchError(
-                    f"{path}: bag {bag_id!r} label {label} out of range for "
-                    f"task {task!r}"
-                )
-            labels[idx] = label
-        if any(v is None for v in labels):
-            raise SchemaMismatchError(
-                f"{path}: bag {bag_id!r} is missing a label for some task"
+        if bag_offset != offset:
+            raise ParseError(
+                f"{path}: bag {bag_id!r} declares offset={bag_offset}, but the "
+                f"bags before it end at byte {offset}"
             )
+        for (task, classes), label in zip(schema.tasks, labels):
+            if label >= len(classes):
+                raise ParseError(f"{path}: bag {bag_id!r} label {label} out of "
+                                 f"range for task {task!r}")
 
         count = n_patches * feature_dim
-        end = offset + count * 8
-        if end > len(blob):
+        offset += count * 8
+        if offset > len(blob):
             raise IntegrityError(
-                f"{blob_path}: bag {bag_id!r} needs bytes [{offset}, {end}) but "
-                f"blob has {len(blob)}"
+                f"{blob_path}: bag {bag_id!r} needs bytes [{bag_offset}, {offset}) "
+                f"but blob has {len(blob)}"
             )
-        feats = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+        feats = np.frombuffer(blob, dtype="<f8", count=count, offset=bag_offset)
         bags.append(PatchBag(
             bag_id=bag_id,
             features=np.ascontiguousarray(
@@ -174,10 +165,15 @@ def read_bags(directory):
             labels=tuple(labels),
         ))
 
-    expected_total = sum(b.n_patches for b in bags) * feature_dim * 8
-    if len(blob) != expected_total:
+    if len(blob) != offset:
         raise IntegrityError(
-            f"{blob_path}: blob is {len(blob)} bytes, manifest accounts for "
-            f"{expected_total}"
+            f"{blob_path}: blob is {len(blob)} bytes, manifest accounts for {offset}"
         )
     return bags, schema
+
+
+def _field(path, bag_id, key, token):
+    """N from a bag line's `key=N` token."""
+    if not token.startswith(key + "="):
+        raise ParseError(f"{path}: bag {bag_id!r}: expected '{key}=N', got {token!r}")
+    return header_int(path, token[len(key) + 1:], f"bag {bag_id} {key}")

@@ -84,12 +84,6 @@ class TagSchema:
                 return classes
         raise KeyError(task)
 
-    def task_index(self, task: str) -> int:
-        for i, (name, _) in enumerate(self.tasks):
-            if name == task:
-                return i
-        raise KeyError(task)
-
     def describe(self) -> str:
         return ", ".join(f"{n}:{len(c)}" for n, c in self.tasks)
 
@@ -128,7 +122,7 @@ def header_int(path, text, where):
 
 def count_line(path, line, key):
     """N from a `key N` header line."""
-    toks = line.split()
+    toks = line.split(" ")
     if len(toks) != 2 or toks[0] != key:
         raise ParseError(f"{path}: expected '{key} N' line, got {line!r}")
     return header_int(path, toks[1], line)
@@ -140,12 +134,10 @@ def parse_schema_lines(lines, path="<manifest>"):
     n = count_line(path, next(it, ""), "tasks")
     tasks = []
     for _ in range(n):
-        line = next(it, None)
-        if line is None or not line.startswith("task "):
-            raise ParseError(f"{path}: expected 'task ...' line, got {line!r}")
-        toks = line.split()
-        if len(toks) < 4:
-            raise ParseError(f"{path}: task line too short: {line!r}")
+        line = next(it, "")
+        if not line.startswith("task "):
+            raise ParseError(f"{path}: expected 'task NAME CLASS ...' line, got {line!r}")
+        toks = line.split(" ")        # TagSchema rejects empty names and < 2 classes
         tasks.append((toks[1], tuple(toks[2:])))
     try:
         return TagSchema(tasks=tuple(tasks))
@@ -481,13 +473,16 @@ def predict_probs(bag, params: ModelParams):
 # ---------------------------------------------------------------------------
 # checkpoint I/O
 #
-# One file: a UTF-8 key-value manifest terminated by an `end` line, then the
-# raw little-endian float64 bytes of ModelParams.flat, which holds every
-# matrix in named_parameters() order. Round-trips are bit-exact.
+# One file: a UTF-8 header, then the raw little-endian float64 bytes of
+# ModelParams.flat, which holds every matrix in named_parameters() order.
+# `_checkpoint_header` renders the header for both directions: the loader
+# reads the variant, the five integers and the schema by position, lays out
+# the ModelParams they declare, and accepts the file only if its header is
+# byte for byte the one rendered from that layout. Round-trips are bit-exact.
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(params: ModelParams, path) -> None:
+def _checkpoint_header(params: ModelParams) -> bytes:
     lines = [
         f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}",
         f"variant {params.variant}",
@@ -501,68 +496,46 @@ def save_checkpoint(params: ModelParams, path) -> None:
     lines.extend(f"matrix {name} {t.data.shape[0]} {t.data.shape[1]}"
                  for name, t in params.named_parameters())
     lines.append("end")
-    header = ("\n".join(lines) + "\n").encode("utf-8")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def save_checkpoint(params: ModelParams, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(header + params.flat.astype("<f8").tobytes())
+        fh.write(_checkpoint_header(params) + params.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> ModelParams:
     with open(path, "rb") as fh:
         raw = fh.read()
-    nl = raw.find(b"\nend\n")
-    if nl < 0:
+    end = raw.find(b"\nend\n")
+    if end < 0:
         raise ParseError(f"{path}: no 'end' marker in checkpoint header")
+    end += len(b"\nend\n")
     try:
-        header = raw[:nl].decode("utf-8").split("\n")
+        lines = raw[:end].decode("utf-8").split("\n")
     except UnicodeDecodeError:
         raise ParseError(f"{path}: checkpoint header is not UTF-8") from None
-    blob = raw[nl + len(b"\nend\n"):]
-
-    fields = {}
-    matrices = []
-    schema_lines = []
-    for line in header:
-        toks = line.split()
-        if not toks:
-            raise ParseError(f"{path}: blank line in header")
-        if toks[0] == "matrix":
-            if len(toks) != 4:
-                raise ParseError(f"{path}: bad matrix line {line!r}")
-            matrices.append((toks[1], header_int(path, toks[2], line),
-                             header_int(path, toks[3], line)))
-        elif toks[0] in ("tasks", "task"):
-            schema_lines.append(line)
-        else:
-            fields[toks[0]] = toks[1] if len(toks) > 1 else ""
-
-    if fields.get(CHECKPOINT_MAGIC) != str(CHECKPOINT_VERSION):
+    it = iter(lines)
+    if next(it) != f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}":
         raise ParseError(f"{path}: missing or unsupported checkpoint magic/version")
-    for key in ("variant", "seed", "feature_dim", "attn_hidden", "tag_hidden", "heads"):
-        if key not in fields:
-            raise ParseError(f"{path}: header missing field {key!r}")
-    schema = parse_schema_lines(schema_lines, path=str(path))
-    ints = {key: header_int(path, fields[key], key)
-            for key in ("seed", "feature_dim", "attn_hidden", "tag_hidden", "heads")}
-    dims = ModelDims(
-        feature_dim=ints["feature_dim"],
-        attn_hidden=ints["attn_hidden"],
-        tag_hidden=ints["tag_hidden"],
-        n_heads=ints["heads"],
-    )
+    variant = next(it).removeprefix("variant ")
+    seed, feature_dim, attn_hidden, tag_hidden, heads = (
+        count_line(path, next(it, ""), key)
+        for key in ("seed", "feature_dim", "attn_hidden", "tag_hidden", "heads"))
+    schema = parse_schema_lines(it, path=str(path))
     params = ModelParams.__new__(ModelParams)   # the blob fills flat: no init draws
-    params._lay_out(schema, dims, fields["variant"], ints["seed"])
-
-    layout = [(name, *t.data.shape) for name, t in params.named_parameters()]
-    if [m[0] for m in matrices] != [m[0] for m in layout]:
-        raise ParseError(f"{path}: matrix list does not match declared dims/variant")
-    expected = sum(rows * cols for _, rows, cols in matrices) * 8
-    if len(blob) != expected:
-        raise IntegrityError(
-            f"{path}: blob is {len(blob)} bytes, manifest declares {expected}"
-        )
-    for (name, rows, cols), want in zip(matrices, layout):
-        if (name, rows, cols) != want:
-            raise ParseError(f"{path}: matrix {name} has shape {rows}x{cols}, "
-                             f"expected {want[1:]}")
-    params.flat[...] = np.frombuffer(blob, dtype="<f8")
+    try:
+        params._lay_out(schema, ModelDims(feature_dim, attn_hidden, tag_hidden, heads),
+                        variant, seed)
+    except ConfigError as e:
+        raise ParseError(f"{path}: {e}") from None
+    want = _checkpoint_header(params).decode("utf-8").split("\n")
+    if lines != want:
+        got, line = next((g, w) for g, w in zip(lines, want) if g != w)
+        raise ParseError(f"{path}: header line {got!r} should read {line!r} "
+                         "for the declared dims, variant and schema")
+    if len(raw) - end != params.flat.size * 8:
+        raise IntegrityError(f"{path}: blob is {len(raw) - end} bytes, "
+                             f"header declares {params.flat.size * 8}")
+    params.flat[...] = np.frombuffer(raw, dtype="<f8", offset=end)
     return params

@@ -56,12 +56,16 @@ def read_pnm(path):
             raise ParseError(f"{path}: truncated header")
         return raw[start:pos]
 
+    def number(field):
+        text = token()
+        if not text.isdigit():          # bytes.isdigit accepts ASCII digits only
+            raise ParseError(f"{path}: {field} must be decimal digits, got {text!r}")
+        return int(text)
+
     magic = token()
     if magic not in (b"P5", b"P6"):
         raise ParseError(f"{path}: unsupported magic {magic!r}, need binary P5/P6")
-    width = int(token())
-    height = int(token())
-    maxval = int(token())
+    width, height, maxval = number("width"), number("height"), number("maxval")
     if maxval != 255:
         raise ParseError(f"{path}: maxval must be 255, got {maxval}")
     pos += 1  # single whitespace byte after maxval

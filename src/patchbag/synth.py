@@ -170,8 +170,8 @@ def generate_with_trace(config: SynthConfig):
             else:
                 labels.append(int(lrng.choice(len(classes), p=weights[k])))
         for rule in config.correlations:
-            ka = schema.task_index(rule.task_a)
-            kb = schema.task_index(rule.task_b)
+            ka = schema.task_names.index(rule.task_a)
+            kb = schema.task_names.index(rule.task_b)
             if labels[ka] == schema.classes(rule.task_a).index(rule.class_a):
                 if lrng.random() < rule.probability:
                     labels[kb] = schema.classes(rule.task_b).index(rule.class_b)

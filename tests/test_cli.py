@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,11 +371,17 @@ def world(tmp_path_factory):
     return root
 
 
+# the file in `world` that each `edit` target names
+EDIT_TARGETS = {"manifest": "data/manifest", "checkpoint": "model.ckpt",
+                "slide": "slide.ppm"}
+
+
 def bad(name, command, text, config=None, flags=(), slides=("slide.ppm",),
         edit=None, code=2):
     """One malformed input: `config` is merged into the command's base config,
-    `edit` replaces bytes in a copy of the bag manifest, and the run must exit
-    `code` with `text` in its error line."""
+    `edit` = (target, old, new) replaces the first `old` with `new` in a copy
+    of the manifest, checkpoint or slide, and the run must exit `code` with
+    `text` in its error line."""
     return pytest.param(command, config or {}, list(flags), slides, edit, code,
                         text, id=name)
 
@@ -409,13 +416,13 @@ BAD_INPUTS = [
     bad("preprocess-seed-flag-negative", "preprocess", "seed",
         flags=["--seed", "-1"]),
     bad("manifest-tasks-string", "train", "tasks x", code=4,
-        edit=(b"tasks 2\n", b"tasks x\n")),
+        edit=("manifest", b"tasks 2\n", b"tasks x\n")),
     bad("manifest-label-string", "train", "x2", code=4,
-        edit=(b" color=0 ", b" color=x2 ")),
+        edit=("manifest", b" color=0 ", b" color=x2 ")),
     bad("manifest-repeated-label", "train", "repeated", code=4,
-        edit=(b" color=0 ", b" color=0 color=1 ")),
+        edit=("manifest", b" color=0 ", b" color=0 color=1 ")),
     bad("manifest-non-utf8", "train", "UTF-8", code=4,
-        edit=(b"task color ", b"task co\xfflor ")),
+        edit=("manifest", b"task color ", b"task co\xfflor ")),
     bad("class-name-space", "synth", "'a b'",
         {"synth": {"schema": [["tint", ["a b", "c"]]]}}),
     bad("bag-id-space", "preprocess", "'my slide'", slides=["my slide.ppm"]),
@@ -424,9 +431,29 @@ BAD_INPUTS = [
     # export-attention names one file per id: `a:b` must not pass as `a_b`
     bad("bag-id-colon", "preprocess", "'a:b'", slides=["a:b.ppm"]),
     bad("manifest-bag-id-colon", "export-attention", "'a:b'", code=4,
-        edit=(b"bag bag00000 ", b"bag a:b ")),
+        edit=("manifest", b"bag bag00000 ", b"bag a:b ")),
     bad("manifest-zero-patches", "train", "patches=0", code=4,
-        edit=(b" patches=6 offset=0 ", b" patches=0 offset=0 ")),
+        edit=("manifest", b" patches=6 offset=0 ", b" patches=0 offset=0 ")),
+    bad("manifest-reordered-fields", "train", "'offset=0'", code=4,
+        edit=("manifest", b" patches=6 offset=0 ", b" offset=0 patches=6 ")),
+    bad("manifest-second-bag-offset-zero", "train", "offset=0", code=4,
+        edit=("manifest", b" offset=384 ", b" offset=0 ")),
+    bad("manifest-unknown-task", "train", "flavor", code=4,
+        edit=("manifest", b" color=", b" flavor=")),
+    bad("checkpoint-repeated-seed", "export-attention", "'seed 0'", code=4,
+        edit=("checkpoint", b"seed 0\n", b"seed 0\nseed 0\n")),
+    bad("checkpoint-unknown-line", "export-attention", "'bogus 1'", code=4,
+        edit=("checkpoint", b"heads 1\n", b"heads 1\nbogus 1\n")),
+    bad("checkpoint-variant-two-words", "export-attention", "'gated sdpa'", code=4,
+        edit=("checkpoint", b"variant gated\n", b"variant gated sdpa\n")),
+    bad("checkpoint-variant-unknown", "export-attention", "'fancy'", code=4,
+        edit=("checkpoint", b"variant gated\n", b"variant fancy\n")),
+    bad("checkpoint-feature-dim-zero", "export-attention", "feature_dim", code=4,
+        edit=("checkpoint", b"feature_dim 8\n", b"feature_dim 0\n")),
+    bad("checkpoint-matrix-leading-zero", "export-attention", "'matrix proj 08 8'",
+        code=4, edit=("checkpoint", b"matrix proj 8 8\n", b"matrix proj 08 8\n")),
+    bad("slide-header-width", "preprocess", "width", code=4,
+        edit=("slide", b"\n420 420\n", b"\n4x 4\n")),
 ]
 
 
@@ -435,6 +462,13 @@ class TestMalformedInput:
                              BAD_INPUTS)
     def test_exit_code_and_error_line(self, world, tmp_path, capsys, command,
                                       config, flags, slides, edit, code, text):
+        if edit is not None:
+            target, old, new = edit
+            world = Path(shutil.copytree(world, tmp_path / "edited"))
+            path = world / EDIT_TARGETS[target]
+            raw = path.read_bytes()
+            assert old in raw
+            path.write_bytes(raw.replace(old, new, 1))
         images = [{"path": str(world / s), "labels": {"color": "red", "shape": 1}}
                   for s in slides]
         payload = {
@@ -448,18 +482,11 @@ class TestMalformedInput:
                 payload.setdefault(key, {}).update(value)
             else:
                 payload[key] = value
-        data = world / "data"
-        if edit is not None:
-            data = tmp_path / "edited"
-            shutil.copytree(world / "data", data)
-            raw = (data / "manifest").read_bytes()
-            assert edit[0] in raw
-            (data / "manifest").write_bytes(raw.replace(edit[0], edit[1], 1))
         argv = [command, "--config", write_config(tmp_path, payload), *flags]
         if "out" not in config:
             argv += ["--out", str(tmp_path / "out")]
         if command in ("train", "export-attention"):
-            argv += ["--data", str(data)]
+            argv += ["--data", str(world / "data")]
         if command == "export-attention":
             argv += ["--checkpoint", str(world / "model.ckpt")]
         assert cli.main(argv) == code

@@ -6,7 +6,6 @@ from patchbag.errors import (
     ConfigError,
     IntegrityError,
     ParseError,
-    SchemaMismatchError,
 )
 from patchbag.model import DEFAULT_SCHEMA, TagSchema
 from patchbag.synth import (
@@ -182,7 +181,7 @@ class TestBagDirectory:
         manifest = tmp_path / "d" / "manifest"
         text = manifest.read_text().replace("color=", "flavor=")
         manifest.write_text(text)
-        with pytest.raises(SchemaMismatchError) as err:
+        with pytest.raises(ParseError) as err:
             read_bags(tmp_path / "d")
         assert "flavor" in str(err.value)
 
@@ -203,8 +202,17 @@ class TestBagDirectory:
         text = manifest.read_text().replace("shape=0", "shape=9").replace(
             "shape=1", "shape=9").replace("shape=2", "shape=9")
         manifest.write_text(text)
-        with pytest.raises(SchemaMismatchError):
+        with pytest.raises(ParseError):
             read_bags(tmp_path / "d")
+
+    @pytest.mark.parametrize("label", [3, -1])
+    def test_label_out_of_range_rejected_on_write(self, tmp_path, label):
+        bags = generate(small_config(n_bags=2))
+        bags[1].labels = (0, label)
+        with pytest.raises(ConfigError) as err:
+            write_bags(bags, tmp_path / "d", TWO_TASKS)
+        assert repr(bags[1].bag_id) in str(err.value) and "'shape'" in str(err.value)
+        assert not (tmp_path / "d" / "manifest").exists()
 
     @pytest.mark.parametrize("ids", [("", "b"), ("a b", "c"), ("a", "a"), (None, "b")])
     def test_bad_or_repeated_ids_rejected_on_write(self, tmp_path, ids):
