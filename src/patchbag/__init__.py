@@ -2,10 +2,10 @@
 
 A desk-scale numpy stack: the gated / scaled-dot-product attention model
 with per-task attention pooling, each layer an array function with a
-hand-written backward, chained into one backward per bag; a synthetic
-patch-bag generator, an image preprocessing path (Otsu masking, patch
-sampling, augmentation, featurizing), multi-task training with Adam,
-Macro/Micro F1 evaluation, and attention-ranking export.
+hand-written backward, chained into one backward per bag or stack of bags;
+a synthetic patch-bag generator, an image preprocessing path (Otsu
+masking, patch sampling, augmentation, featurizing), multi-task training
+with Adam, Macro/Micro F1 evaluation, and attention-ranking export.
 """
 
 from .autodiff import Tensor, backward

@@ -106,6 +106,8 @@ def read_bags(directory):
         raise ParseError(f"{path}: missing 'end' line")
     it = iter(lines[1:-2])
     feature_dim = count_line(path, next(it, ""), "feature_dim")
+    if feature_dim < 1:
+        raise ParseError(f"{path}: feature_dim {feature_dim}: must be >= 1")
     schema = parse_schema_lines(it, path=path)
     n_bags = count_line(path, next(it, ""), "bags")
     bag_lines = list(it)

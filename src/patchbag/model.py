@@ -11,13 +11,13 @@ A bag of M patch feature rows V (M x D) flows through:
   3. per-task softmax classifiers.
 
 Each layer works on arrays and returns its value with a backward written
-by hand in numpy; `forward` chains them into one backward per bag, which
-adds the bag's gradient into one flat vector for every matrix at once.
+by hand in numpy; `forward` chains them into one backward per call, which
+adds the gradient into one flat vector for every matrix at once.
 
 The layers take the patch axis as -2, so `forward` also runs a list of
-bags of one shape as a (B, M, D) stack through the same functions: for
-inference only, with no backward, and bag for bag the same bytes as one
-bag at a time. A backward is only ever made for one bag's 2-D arrays.
+bags of one shape as a (B, M, D) stack through the same functions, forward
+and backward, with the bytes of one bag at a time: each matrix's gradient
+is computed for the whole stack, then added into its view bag by bag.
 """
 
 import math
@@ -175,6 +175,43 @@ class AttentionRecord:
     tag_weights: list = field(default_factory=list)   # n_tasks arrays of (M,)
 
 
+def _matrix_shapes(schema, dims, variant):
+    """(name, rows, cols) of every matrix, in the order init draws fill them."""
+    if variant not in ("gated", "sdpa"):
+        raise ConfigError(f"variant: must be 'gated' or 'sdpa', got {variant!r}")
+    if variant == "sdpa" and dims.n_heads > 0:
+        if dims.feature_dim % dims.n_heads != 0:
+            raise ConfigError(
+                f"sdpa: feature_dim {dims.feature_dim} not divisible by "
+                f"{dims.n_heads} heads"
+            )
+    D = dims.feature_dim
+    draws = []
+    if dims.n_heads > 0:
+        if variant == "gated":
+            head_keys = (("gate_proj", D, dims.attn_hidden),
+                         ("gate_score", dims.attn_hidden, 1))
+            proj_rows = dims.n_heads * D
+        else:
+            d_head = D // dims.n_heads
+            head_keys = tuple((key, D, d_head) for key in ("query", "key", "value"))
+            proj_rows = D
+        for i in range(dims.n_heads):
+            draws += [(f"head{i}.{key}", rows, cols) for key, rows, cols in head_keys]
+        draws.append(("proj", proj_rows, D))
+    for k, n_classes in enumerate(schema.class_counts):
+        draws += [(f"tag{k}.gate_proj", D, dims.tag_hidden),
+                  (f"tag{k}.gate_score", dims.tag_hidden, 1),
+                  (f"tag{k}.classify", D, n_classes)]
+    return draws
+
+
+def _flat_order(draws):
+    """named_parameters() order, the layout of `flat`: every classifier after
+    every tag gate."""
+    return sorted(draws, key=lambda d: d[0].endswith(".classify"))
+
+
 class ModelParams:
     """All trainable matrices, plus the dims/schema/variant that shape them.
 
@@ -194,40 +231,12 @@ class ModelParams:
 
     def _lay_out(self, schema, dims, variant, seed):
         """Set up an unfilled `flat` and its named views; returns the init draws."""
-        if variant not in ("gated", "sdpa"):
-            raise ConfigError(f"variant: must be 'gated' or 'sdpa', got {variant!r}")
-        if variant == "sdpa" and dims.n_heads > 0:
-            if dims.feature_dim % dims.n_heads != 0:
-                raise ConfigError(
-                    f"sdpa: feature_dim {dims.feature_dim} not divisible by "
-                    f"{dims.n_heads} heads"
-                )
+        draws = _matrix_shapes(schema, dims, variant)
         self.schema = schema
         self.dims = dims
         self.variant = variant
         self.seed = seed
-
-        D = dims.feature_dim
-        head_keys = ()
-        draws = []            # (name, rows, cols) in the order the RNG fills them
-        if dims.n_heads > 0:
-            if variant == "gated":
-                head_keys = (("gate_proj", D, dims.attn_hidden),
-                             ("gate_score", dims.attn_hidden, 1))
-                proj_rows = dims.n_heads * D
-            else:
-                d_head = D // dims.n_heads
-                head_keys = tuple((key, D, d_head) for key in ("query", "key", "value"))
-                proj_rows = D
-            for i in range(dims.n_heads):
-                draws += [(f"head{i}.{key}", rows, cols) for key, rows, cols in head_keys]
-            draws.append(("proj", proj_rows, D))
-        for k, n_classes in enumerate(schema.class_counts):
-            draws += [(f"tag{k}.gate_proj", D, dims.tag_hidden),
-                      (f"tag{k}.gate_score", dims.tag_hidden, 1),
-                      (f"tag{k}.classify", D, n_classes)]
-        # named_parameters() order: every classifier after every tag gate
-        layout = sorted(draws, key=lambda d: d[0].endswith(".classify"))
+        layout = _flat_order(draws)
         self.flat = np.empty(sum(rows * cols for _, rows, cols in layout))
         self.grad = np.zeros_like(self.flat)
         self.has_grad = False
@@ -239,8 +248,8 @@ class ModelParams:
                                        grad=self.grad[span].reshape(rows, cols))
             offset += rows * cols
         t = self._named
-        self.heads = [{key: t[f"head{i}.{key}"] for key, _, _ in head_keys}
-                      for i in range(dims.n_heads)]
+        self.heads = [{name.split(".")[1]: t[name] for name in t
+                       if name.startswith(f"head{i}.")} for i in range(dims.n_heads)]
         self.proj = t.get("proj")   # shared output projection, None when n_heads == 0
         self.tag_gates = [(t[f"tag{k}.gate_proj"], t[f"tag{k}.gate_score"])
                           for k in range(schema.n_tasks)]
@@ -261,6 +270,24 @@ class ModelParams:
         return dup
 
 
+def _T(x):
+    """The transpose of one bag's matrix, or of each matrix in a stack."""
+    return x.swapaxes(-1, -2)
+
+
+def _add_bags(grad, contrib):
+    """Add a matrix's gradient from one bag, or from each bag of a stack in order.
+
+    Adding bag by bag, never summing the stack axis first, keeps the float
+    order of one bag at a time.
+    """
+    if contrib.ndim == 2:
+        grad += contrib
+    else:
+        for bag_contrib in contrib:
+            grad += bag_contrib
+
+
 def _gate(name, V, gate_proj, gate_score):
     """(..., M, 1) softmax weights over the M rows of V, from tanh(V W) w.
 
@@ -273,13 +300,13 @@ def _gate(name, V, gate_proj, gate_score):
     a = ad.softmax(hidden @ gate_score, axis=-2)
 
     def backward(g, g_V, g_proj, g_score):
-        g_logits = ad.softmax_grad(a, g, axis=0)
+        g_logits = ad.softmax_grad(a, g, axis=-2)
         g_hidden = g_logits @ gate_score.T
-        g_score += hidden.T @ g_logits
+        _add_bags(g_score, _T(hidden) @ g_logits)
         g_pre = g_hidden * (1.0 - hidden * hidden)
         if g_V is not None:
             g_V += g_pre @ gate_proj.T
-        g_proj += V.T @ g_pre
+        _add_bags(g_proj, _T(V) @ g_pre)
 
     return a, backward
 
@@ -304,8 +331,8 @@ def _residual_projection(V, outs, proj, head_grads):
     def backward(g):
         g_pre = g * mask
         g_stacked = g_pre @ proj.data.T
-        proj.grad += stacked.T @ g_pre
-        head_grads(np.split(g_stacked, len(outs), axis=1))
+        _add_bags(proj.grad, _T(stacked) @ g_pre)
+        head_grads(np.split(g_stacked, len(outs), axis=-1))
 
     return np.where(mask, pre, 0.0), backward
 
@@ -321,7 +348,7 @@ def patch_transform(V, params: ModelParams):
 
     def head_grads(pieces):
         for head, (_, gate_backward), piece in zip(params.heads, gates, pieces):
-            gate_backward(np.sum(piece * V, axis=1, keepdims=True), None,
+            gate_backward(np.sum(piece * V, axis=-1, keepdims=True), None,
                           head["gate_proj"].grad, head["gate_score"].grad)
 
     weights = [a for a, _ in gates]
@@ -347,10 +374,10 @@ def sdpa_transform(V, params: ModelParams):
 
     def head_grads(pieces):
         for (head, q, kT, v, attn), piece in zip(saved, pieces):
-            g_scores = ad.softmax_grad(attn, piece @ v.T, axis=1) * scale
-            head["value"].grad += V.T @ (attn.T @ piece)
-            head["query"].grad += V.T @ (g_scores @ kT.T)
-            head["key"].grad += V.T @ (q.T @ g_scores).T
+            g_scores = ad.softmax_grad(attn, piece @ _T(v), axis=-1) * scale
+            _add_bags(head["value"].grad, _T(V) @ (_T(attn) @ piece))
+            _add_bags(head["query"].grad, _T(V) @ (g_scores @ _T(kT)))
+            _add_bags(head["key"].grad, _T(V) @ _T(_T(q) @ g_scores))
 
     outs = [attn @ v for _, _, _, v, attn in saved]
     Vp, backward = _residual_projection(V, outs, params.proj, head_grads)
@@ -366,7 +393,7 @@ def tag_attention(Vp, gate_proj, gate_score):
     alpha, gate_backward = _gate("tag_attention", Vp, gate_proj, gate_score)
 
     def backward(g, g_Vp, g_proj, g_score):
-        g_alpha = (g @ Vp.T).T
+        g_alpha = _T(g @ _T(Vp))
         if g_Vp is not None:
             g_Vp += alpha @ g
         gate_backward(g_alpha, g_Vp, g_proj, g_score)
@@ -386,8 +413,8 @@ def predict_tag(pooled, classifier):
     probs = ad.softmax(pooled @ classifier, axis=-1)
 
     def backward(g, g_classifier):
-        g_logits = ad.softmax_grad(probs, g, axis=1)
-        g_classifier += pooled.T @ g_logits
+        g_logits = ad.softmax_grad(probs, g, axis=-1)
+        _add_bags(g_classifier, _T(pooled) @ g_logits)
         return g_logits @ classifier.T
 
     return probs, backward
@@ -402,8 +429,10 @@ def forward(bag, params: ModelParams):
     bag's gradient into params.grad: tasks in order, then the transform.
 
     A list of B bags of one (M, D) shape runs as one (B, M, D) stack: each
-    tensor is (B, 1, n_classes_k), has no backward, and holds in row i the
-    bytes bag i gives alone; the record is the stack's (see AttentionRecord).
+    tensor is (B, 1, n_classes_k) and holds in row i the bytes bag i gives
+    alone; the record is the stack's (see AttentionRecord). The shared
+    backward takes K (B, 1, n_classes_k) gradients and adds each matrix's
+    gradient bag by bag, in stack order: the bytes of B one-bag backwards.
     """
     stacked = isinstance(bag, list)
     if stacked:
@@ -434,8 +463,6 @@ def forward(bag, params: ModelParams):
         p, classify_backward = predict_tag(pooled, classifier.data)
         probs.append(p)
         task_backwards.append((pool_backward, classify_backward))
-    if stacked:
-        return [Tensor(p) for p in probs], record
 
     def backward(g_rows):
         g_Vp = None if transform_backward is None else np.zeros_like(Vp)
@@ -476,32 +503,35 @@ def predict_probs(bag, params: ModelParams):
 # One file: a UTF-8 header, then the raw little-endian float64 bytes of
 # ModelParams.flat, which holds every matrix in named_parameters() order.
 # `_checkpoint_header` renders the header for both directions: the loader
-# reads the variant, the five integers and the schema by position, lays out
-# the ModelParams they declare, and accepts the file only if its header is
-# byte for byte the one rendered from that layout. Round-trips are bit-exact.
+# reads the variant, the five integers and the schema by position, and
+# accepts the file only if its header is byte for byte the one rendered from
+# them and its blob is as long as that header declares; only then does it
+# lay out the ModelParams. Round-trips are bit-exact.
 # ---------------------------------------------------------------------------
 
 
-def _checkpoint_header(params: ModelParams) -> bytes:
+def _checkpoint_header(schema, dims, variant, seed) -> bytes:
     lines = [
         f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}",
-        f"variant {params.variant}",
-        f"seed {params.seed}",
-        f"feature_dim {params.dims.feature_dim}",
-        f"attn_hidden {params.dims.attn_hidden}",
-        f"tag_hidden {params.dims.tag_hidden}",
-        f"heads {params.dims.n_heads}",
+        f"variant {variant}",
+        f"seed {seed}",
+        f"feature_dim {dims.feature_dim}",
+        f"attn_hidden {dims.attn_hidden}",
+        f"tag_hidden {dims.tag_hidden}",
+        f"heads {dims.n_heads}",
     ]
-    lines.extend(params.schema.manifest_lines())
-    lines.extend(f"matrix {name} {t.data.shape[0]} {t.data.shape[1]}"
-                 for name, t in params.named_parameters())
+    lines.extend(schema.manifest_lines())
+    lines.extend(f"matrix {name} {rows} {cols}" for name, rows, cols
+                 in _flat_order(_matrix_shapes(schema, dims, variant)))
     lines.append("end")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(_checkpoint_header(params) + params.flat.astype("<f8").tobytes())
+        fh.write(_checkpoint_header(params.schema, params.dims, params.variant,
+                                    params.seed)
+                 + params.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -523,19 +553,23 @@ def load_checkpoint(path) -> ModelParams:
         count_line(path, next(it, ""), key)
         for key in ("seed", "feature_dim", "attn_hidden", "tag_hidden", "heads"))
     schema = parse_schema_lines(it, path=str(path))
-    params = ModelParams.__new__(ModelParams)   # the blob fills flat: no init draws
+    if heads > len(lines):        # each head has matrix lines of its own
+        raise ParseError(f"{path}: header declares {heads} heads, more than "
+                         f"its {len(lines)} lines can list")
     try:
-        params._lay_out(schema, ModelDims(feature_dim, attn_hidden, tag_hidden, heads),
-                        variant, seed)
+        dims = ModelDims(feature_dim, attn_hidden, tag_hidden, heads)
+        want = _checkpoint_header(schema, dims, variant, seed).decode("utf-8").split("\n")
     except ConfigError as e:
         raise ParseError(f"{path}: {e}") from None
-    want = _checkpoint_header(params).decode("utf-8").split("\n")
     if lines != want:
         got, line = next((g, w) for g, w in zip(lines, want) if g != w)
         raise ParseError(f"{path}: header line {got!r} should read {line!r} "
                          "for the declared dims, variant and schema")
-    if len(raw) - end != params.flat.size * 8:
+    size = 8 * sum(rows * cols for _, rows, cols in _matrix_shapes(schema, dims, variant))
+    if len(raw) - end != size:
         raise IntegrityError(f"{path}: blob is {len(raw) - end} bytes, "
-                             f"header declares {params.flat.size * 8}")
+                             f"header declares {size}")
+    params = ModelParams.__new__(ModelParams)   # the blob fills flat: no init draws
+    params._lay_out(schema, dims, variant, seed)
     params.flat[...] = np.frombuffer(raw, dtype="<f8", offset=end)
     return params

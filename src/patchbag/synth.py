@@ -27,9 +27,9 @@ class PatchBag:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
+        if self.features.ndim != 2 or min(self.features.shape) < 1:
             raise ConfigError(
-                f"bag {self.bag_id!r}: features must be (M >= 1, D), "
+                f"bag {self.bag_id!r}: features must be (M >= 1, D >= 1), "
                 f"got {self.features.shape}"
             )
         if not np.all(np.isfinite(self.features)):

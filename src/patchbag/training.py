@@ -7,14 +7,17 @@ checkpoints, histories and reports on the same platform.
 
 Evaluation (also validation inside `train`) and export run bags of one
 feature shape as stacks of up to STACK_BAGS through one `forward` each,
-which gives every bag the bytes it gets alone. Training steps run one
-`forward` per bag: stacking their backward would change the order in
-which parameter gradients are summed, and so the trained bytes.
+which gives every bag the bytes it gets alone. A training step runs each
+run of consecutive equal-shape bags in its batch as one stacked `forward`
+and backward (a run of one stays one bag), whose backward adds parameter
+gradients bag by bag in batch order: the trained bytes are those of one
+bag at a time.
 """
 
 import logging
 import os
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -74,8 +77,10 @@ class TrainConfig:
 def multi_task_loss(probs_per_task, labels, lambdas) -> ad.Tensor:
     """Weighted sum over tasks of batch-mean cross entropy.
 
-    probs_per_task[k] is a list of (1, C_k) probability tensors, one per bag;
-    labels is an (N, K) array of class indices. The log is floored at 1e-12.
+    probs_per_task[k] is a list of probability tensors, each one bag's
+    (1, C_k) row or a stack's (B, 1, C_k) rows, bags in batch order and cut
+    into the same runs for every task; labels is an (N, K) array of class
+    indices. The log is floored at 1e-12.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n_tasks = len(probs_per_task)
@@ -84,18 +89,26 @@ def multi_task_loss(probs_per_task, labels, lambdas) -> ad.Tensor:
         raise ContractError(
             f"multi_task_loss: labels {labels.shape} vs {n_tasks} tasks"
         )
+    runs = [[p.data.size // p.data.shape[-1] for p in task_probs]
+            for task_probs in probs_per_task]            # bags per tensor
     for k, task_probs in enumerate(probs_per_task):
-        if len(task_probs) != n:
+        if sum(runs[k]) != n:
             raise ContractError(
-                f"multi_task_loss: task {k} has {len(task_probs)} prob rows "
+                f"multi_task_loss: task {k} has {sum(runs[k])} prob rows "
                 f"for {n} labels"
             )
-        for p, label in zip(task_probs, labels[:, k]):
-            n_classes = p.data.shape[1]
-            if not (0 <= label < n_classes):
+        if runs[k] != runs[0]:
+            raise ContractError(
+                f"multi_task_loss: task {k} cuts its bags into runs {runs[k]}, "
+                f"task 0 into {runs[0]}"
+            )
+    n_classes = [task_probs[0].data.shape[-1] for task_probs in probs_per_task]
+    for row in labels.tolist():
+        for k, (label, count) in enumerate(zip(row, n_classes)):
+            if not 0 <= label < count:
                 raise ContractError(
                     f"multi_task_loss: label {label} out of range "
-                    f"[0, {n_classes}) for task {k}"
+                    f"[0, {count}) for task {k}"
                 )
     return ad.weighted_nll(probs_per_task, labels, [lam / n for lam in lambdas])
 
@@ -213,8 +226,8 @@ def train(train_bags, val_bags, schema: TagSchema, config: TrainConfig) -> Train
             adam.zero_grad()
             per_task = [[] for _ in range(schema.n_tasks)]
             labels = np.array([b.labels for b in batch], dtype=np.int64)
-            for bag in batch:
-                probs, _ = forward(bag, params)
+            for run in _equal_shape_runs(batch):
+                probs, _ = forward(run if len(run) > 1 else run[0], params)
                 for k, p in enumerate(probs):
                     per_task[k].append(p)
             loss = multi_task_loss(per_task, labels, lambdas)
@@ -238,6 +251,15 @@ def train(train_bags, val_bags, schema: TagSchema, config: TrainConfig) -> Train
         best = params.copy()
         best_epoch = config.epochs - 1
     return TrainResult(params=best, history=history, best_epoch=best_epoch)
+
+
+def _equal_shape_runs(batch):
+    """The batch cut into maximal runs of consecutive bags of one feature shape.
+
+    Runs keep batch order, so gradients are added in the order of one bag
+    at a time; grouping equal shapes across the batch would reorder them.
+    """
+    return [list(run) for _, run in groupby(batch, key=lambda b: np.shape(b.features))]
 
 
 def evaluate(params: ModelParams, bags) -> MetricsReport:

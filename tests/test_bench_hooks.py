@@ -108,6 +108,29 @@ def test_traced_gated3_bags_build_at_most_4_tensors_to_train_and_3_to_infer():
     assert max(per_infer) <= 3
 
 
+def test_traced_batch8_step_on_equal_shapes_builds_one_tensor_per_task_and_the_loss():
+    # one stacked forward per batch: K probability tensors, then the loss
+    spans = load_spans()
+    schema = TagSchema(tasks=(("a", ("x", "y")), ("b", ("p", "q", "r")),
+                              ("c", ("u", "v"))))
+    bags = generate(SynthConfig(schema=schema, feature_dim=8, patches_per_bag=8,
+                                n_bags=16, seed=3))
+    config = TrainConfig(epochs=1, batch_size=8, heads=3, attn_hidden=4,
+                         tag_hidden=4)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.span("cli.train.gated3_b8", spans.training.train)(bags, [], schema, config)
+    finally:
+        tracer.remove()
+    facts = spans.analyse(tracer.spans, 0, len(tracer.spans))
+    steps = [f for f in facts if f["name"] == "training.adam_step"]
+    in_step = [f for f in facts if f["parent"] == "training.train"
+               and f["name"] in ("model.forward", "training.multi_task_loss")]
+    assert len(steps) == 2 and len(in_step) == 4
+    assert sum(f["tensors"] for f in in_step) <= len(steps) * (schema.n_tasks + 1)
+
+
 def test_layer_metrics_of_a_traced_train_name_every_layer():
     spans, facts, bags, _ = traced_gated3_run()
     metrics = spans.layer_metrics(facts, len(bags))

@@ -452,6 +452,13 @@ BAD_INPUTS = [
         edit=("checkpoint", b"feature_dim 8\n", b"feature_dim 0\n")),
     bad("checkpoint-matrix-leading-zero", "export-attention", "'matrix proj 08 8'",
         code=4, edit=("checkpoint", b"matrix proj 8 8\n", b"matrix proj 08 8\n")),
+    # the declared matrices are far past any memory: refused before allocation
+    bad("checkpoint-feature-dim-huge", "export-attention", "1000000000000 4", code=4,
+        edit=("checkpoint", b"feature_dim 8\n", b"feature_dim 1000000000000\n")),
+    bad("checkpoint-heads-beyond-header", "export-attention", "100 heads", code=4,
+        edit=("checkpoint", b"heads 1\n", b"heads 100\n")),
+    bad("manifest-feature-dim-zero", "train", "feature_dim 0", code=4,
+        edit=("manifest", b"feature_dim 8\n", b"feature_dim 0\n")),
     bad("slide-header-width", "preprocess", "width", code=4,
         edit=("slide", b"\n420 420\n", b"\n4x 4\n")),
 ]

@@ -33,7 +33,8 @@ from patchbag.model import (
     tag_attention,
 )
 from patchbag.synth import PatchBag
-from patchbag.training import multi_task_loss
+from patchbag.training import Adam, multi_task_loss
+from patchbag.training import _equal_shape_runs as equal_shape_runs
 
 from oracles import assert_grads_match, softmax_by_scalar
 
@@ -380,17 +381,61 @@ class TestStackedForward:
         with pytest.raises(DimensionError, match="feature dim 5 != model feature_dim 6"):
             forward([random_bag(rng, 4, 5)], small_params())
 
-    def test_stacked_probabilities_cannot_train(self):
-        params = small_params()
+
+def train_steps(params, batches, cut):
+    """Loss, params.grad and params.flat bytes after each Adam step, running
+    each batch as the runs `cut(batch)` gives: a run of one as one bag."""
+    adam = Adam(params, lr=1e-2)
+    seen = []
+    for batch in batches:
+        adam.zero_grad()
+        per_task = [[] for _ in params.schema.tasks]
+        for run in cut(batch):
+            probs, _ = forward(run if len(run) > 1 else run[0], params)
+            for k, p in enumerate(probs):
+                per_task[k].append(p)
+        loss = multi_task_loss(per_task, [b.labels for b in batch], (1.3, 0.4))
+        ad.backward(loss)
+        adam.step()
+        seen.append((loss.data.tobytes(), params.grad.tobytes(), params.flat.tobytes()))
+    return seen
+
+
+def one_bag_runs(batch):
+    return [[bag] for bag in batch]
+
+
+class TestStackedBackward:
+    """A stack's backward adds each bag's gradient in order: the bytes of one
+    bag at a time."""
+
+    @pytest.mark.parametrize("variant,heads", [("gated", 3), ("gated", 1), ("gated", 0),
+                                               ("sdpa", 2), ("sdpa", 4)])
+    @pytest.mark.parametrize("sizes,runs", [
+        ((7,) * 8, [8]),
+        ((8, 8, 16, 8, 16, 16, 16, 8), [2, 1, 1, 3, 1]),
+    ], ids=["equal-M", "mixed-M"])
+    def test_batch8_steps_equal_runs_of_one_bit_for_bit(self, variant, heads, sizes,
+                                                        runs):
         rng = np.random.default_rng(24)
+        batches = [[random_bag(rng, m, 8, bag_id=f"s{step}b{i}")
+                    for i, m in enumerate(sizes)] for step in range(3)]
+        assert [len(run) for run in equal_shape_runs(batches[0])] == runs
+        stacked = train_steps(small_params(variant, heads, feature_dim=8), batches,
+                              equal_shape_runs)
+        alone = train_steps(small_params(variant, heads, feature_dim=8), batches,
+                            one_bag_runs)
+        assert stacked == alone
+
+    def test_runs_cut_unlike_across_tasks_rejected(self):
+        params = small_params()
+        rng = np.random.default_rng(26)
         bags = [random_bag(rng, 4, 6, bag_id=f"b{i}") for i in range(2)]
-        probs, _ = forward(bags, params)
-        rows = [[Tensor(p.data[i], p._backward) for i in range(len(bags))]
-                for p in probs]
-        loss = multi_task_loss(rows, [b.labels for b in bags], (1.0, 1.0))
-        with pytest.raises(ContractError, match="no backward"):
-            ad.backward(loss)
-        assert not params.has_grad and not params.grad.any()
+        stack, _ = forward(bags, params)
+        (first, _), (second, _) = (forward(b, params) for b in bags)
+        with pytest.raises(ContractError, match=r"runs \[1, 1\], task 0 into \[2\]"):
+            multi_task_loss([[stack[0]], [first[1], second[1]]],
+                            [b.labels for b in bags], (1.0, 1.0))
 
 
 class TestLayerGradients:

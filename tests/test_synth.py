@@ -227,3 +227,22 @@ class TestBagDirectory:
     def test_empty_bag_rejected_at_construction(self):
         with pytest.raises(ConfigError):
             PatchBag(bag_id="x", features=np.zeros((0, 4)), labels=(0, 0))
+
+    def test_zero_width_features_rejected_at_construction(self):
+        with pytest.raises(ConfigError, match="D >= 1"):
+            PatchBag(bag_id="x", features=np.zeros((3, 0)), labels=(0, 0))
+
+    def test_manifest_of_zero_width_features_rejected(self, tmp_path):
+        # every bag 0 bytes wide: the offsets are all 0 and the blob empty
+        bags = generate(small_config(n_bags=2))
+        write_bags(bags, tmp_path / "d", TWO_TASKS)
+        manifest = tmp_path / "d" / "manifest"
+        text = manifest.read_text()
+        for old, new in ((f"feature_dim {bags[0].features.shape[1]}\n", "feature_dim 0\n"),
+                         (f"offset={bags[0].features.nbytes} ", "offset=0 ")):
+            assert old in text
+            text = text.replace(old, new)
+        manifest.write_text(text)
+        (tmp_path / "d" / "features.bin").write_bytes(b"")
+        with pytest.raises(ParseError, match="feature_dim 0"):
+            read_bags(tmp_path / "d")

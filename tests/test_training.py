@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from patchbag import training
 from patchbag.autodiff import Tensor
 from patchbag.errors import ConfigError, ContractError
 from patchbag.metrics import build_report
@@ -222,6 +223,32 @@ class TestTrain:
                              attn_hidden=8, tag_hidden=8, lr=3e-3)
         result = train(tr, val, SCHEMA, config)
         assert result.history[-1].train_loss < result.history[0].train_loss
+
+    @pytest.mark.parametrize("variant,heads", [("gated", 3), ("sdpa", 2)])
+    def test_stacked_steps_equal_one_forward_per_bag_bit_for_bit(self, monkeypatch,
+                                                                  variant, heads):
+        # mixed M: batches hold runs of equal-shape bags and runs of one
+        bags, val = mixed_bags(seed=3)[:40], mixed_bags(seed=4)[:12]
+        config = TrainConfig(epochs=2, batch_size=8, seed=5, variant=variant,
+                             heads=heads, attn_hidden=4, tag_hidden=4, lr=1e-2,
+                             lambdas=(1.4, 0.6))
+        stacks = []
+        forward = training.forward
+
+        def recording_forward(bag, params):
+            stacks.append(len(bag) if isinstance(bag, list) else 1)
+            return forward(bag, params)
+
+        monkeypatch.setattr(training, "forward", recording_forward)
+        stacked = train(bags, val, SCHEMA, config)
+        monkeypatch.setattr(training, "forward", forward)
+        monkeypatch.setattr(training, "_equal_shape_runs",
+                            lambda batch: [[bag] for bag in batch])
+        alone = train(bags, val, SCHEMA, config)
+        assert max(stacks) > 1
+        assert stacked.history == alone.history
+        assert stacked.best_epoch == alone.best_epoch
+        assert stacked.params.flat.tobytes() == alone.params.flat.tobytes()
 
     def test_empty_split_rejected(self):
         with pytest.raises(ConfigError):
