@@ -2,22 +2,23 @@
 
 A bag of M patch feature rows V (M x D) flows through:
 
-  1. a transform stage: either multi-head gated attention (each head scores
-     every patch, rescales its row, heads are concatenated and projected,
-     with a residual connection and ReLU), or scaled dot-product attention
-     as an ablation variant, or nothing at all when heads = 0;
-  2. per-task attention pooling: a softmax over patches turns V' into one
-     task-specific summary vector per tagging task;
+  1. a transform stage: H gated attention heads (each scores every patch
+     and rescales its row; the H copies are concatenated and projected,
+     with a residual connection and ReLU), or H scaled dot-product heads
+     as an ablation variant, or nothing at all when H = 0;
+  2. pooling by K task gates: a softmax over patches turns V' into one
+     summary vector per tagging task;
   3. per-task softmax classifiers.
 
 Each layer works on arrays and returns its value with a backward written
 by hand in numpy; `forward` chains them into one backward per call, which
 adds the gradient into one flat vector for every matrix at once.
 
-The layers take the patch axis as -2, so `forward` also runs a list of
-bags of one shape as a (B, M, D) stack through the same functions, forward
-and backward, with the bytes of one bag at a time: each matrix's gradient
-is computed for the whole stack, then added into its view bag by bag.
+The heads run side by side on a leading H axis, and the task gates on a K
+axis: the caller hands V in as (..., 1, M, D), and (H, D, A) gates give
+(..., H, M, A). The patch axis is -2, so a list of bags of one shape also
+runs as a (B, M, D) stack, forward and backward, with the bytes of one bag
+at a time: each matrix's gradient is added into its view bag by bag.
 """
 
 import math
@@ -179,12 +180,9 @@ def _matrix_shapes(schema, dims, variant):
     """(name, rows, cols) of every matrix, in the order init draws fill them."""
     if variant not in ("gated", "sdpa"):
         raise ConfigError(f"variant: must be 'gated' or 'sdpa', got {variant!r}")
-    if variant == "sdpa" and dims.n_heads > 0:
-        if dims.feature_dim % dims.n_heads != 0:
-            raise ConfigError(
-                f"sdpa: feature_dim {dims.feature_dim} not divisible by "
-                f"{dims.n_heads} heads"
-            )
+    if variant == "sdpa" and dims.n_heads > 0 and dims.feature_dim % dims.n_heads:
+        raise ConfigError(f"sdpa: feature_dim {dims.feature_dim} not divisible by "
+                          f"{dims.n_heads} heads")
     D = dims.feature_dim
     draws = []
     if dims.n_heads > 0:
@@ -219,18 +217,14 @@ class ModelParams:
     out in named_parameters() order, so copies, checkpoints and optimizer
     steps each touch one array; bag backwards add into `grad`, laid out the
     same, and set `has_grad`. Forward never writes to parameter data;
-    training is the single writer.
+    training is the single writer. `heads` maps each head matrix's name to
+    its (H, rows, cols) view, none at 0 heads; `tag_gates` holds the
+    (K, D, A) gate_proj and (K, A, 1) gate_score views. `values`, if given,
+    fills `flat` in place of the seeded init draws.
     """
 
-    def __init__(self, schema: TagSchema, dims: ModelDims, variant: str, seed: int):
-        draws = self._lay_out(schema, dims, variant, seed)
-        rng = np.random.default_rng(seed)
-        for name, rows, cols in draws:
-            bound = math.sqrt(1.0 / rows)
-            self._named[name].data[...] = rng.uniform(-bound, bound, size=(rows, cols))
-
-    def _lay_out(self, schema, dims, variant, seed):
-        """Set up an unfilled `flat` and its named views; returns the init draws."""
+    def __init__(self, schema: TagSchema, dims: ModelDims, variant: str, seed: int,
+                 values=None):
         draws = _matrix_shapes(schema, dims, variant)
         self.schema = schema
         self.dims = dims
@@ -240,21 +234,38 @@ class ModelParams:
         self.flat = np.empty(sum(rows * cols for _, rows, cols in layout))
         self.grad = np.zeros_like(self.flat)
         self.has_grad = False
-        self._named = {}
+        self._named, offsets = {}, {}
         offset = 0
         for name, rows, cols in layout:
             span = slice(offset, offset + rows * cols)
             self._named[name] = Tensor(self.flat[span].reshape(rows, cols),
                                        grad=self.grad[span].reshape(rows, cols))
+            offsets[name] = offset
             offset += rows * cols
         t = self._named
-        self.heads = [{name.split(".")[1]: t[name] for name in t
-                       if name.startswith(f"head{i}.")} for i in range(dims.n_heads)]
+
+        def stacked(prefix, n, key):
+            """One (n, rows, cols) view of prefix0.key .. prefix{n-1}.key (one stride)."""
+            start, shape = offsets[f"{prefix}0.{key}"], t[f"{prefix}0.{key}"].data.shape
+            step = offsets[f"{prefix}1.{key}"] - start if n > 1 else 0
+            data, grad = (np.ndarray((n, *shape), buffer=vec, offset=8 * start,
+                                     strides=(8 * step, 8 * shape[1], 8))
+                          for vec in (self.flat, self.grad))
+            return Tensor(data, grad=grad)
+
+        keys = [name.split(".")[1] for name in t if name.startswith("head0.")]
+        self.heads = {key: stacked("head", dims.n_heads, key) for key in keys}
         self.proj = t.get("proj")   # shared output projection, None when n_heads == 0
-        self.tag_gates = [(t[f"tag{k}.gate_proj"], t[f"tag{k}.gate_score"])
-                          for k in range(schema.n_tasks)]
+        self.tag_gates = tuple(stacked("tag", schema.n_tasks, key)
+                               for key in ("gate_proj", "gate_score"))
         self.classifiers = [t[f"tag{k}.classify"] for k in range(schema.n_tasks)]
-        return draws
+        if values is not None:
+            self.flat[...] = values
+            return
+        rng = np.random.default_rng(seed)
+        for name, rows, cols in draws:
+            bound = math.sqrt(1.0 / rows)
+            t[name].data[...] = rng.uniform(-bound, bound, size=(rows, cols))
 
     def named_parameters(self):
         """All matrices in a fixed order (also the layout of `flat`)."""
@@ -264,10 +275,7 @@ class ModelParams:
         return list(self._named.values())
 
     def copy(self) -> "ModelParams":
-        dup = ModelParams.__new__(ModelParams)      # no init draws to overwrite
-        dup._lay_out(self.schema, self.dims, self.variant, self.seed)
-        dup.flat[...] = self.flat
-        return dup
+        return ModelParams(self.schema, self.dims, self.variant, self.seed, self.flat)
 
 
 def _T(x):
@@ -275,64 +283,59 @@ def _T(x):
     return x.swapaxes(-1, -2)
 
 
-def _add_bags(grad, contrib):
-    """Add a matrix's gradient from one bag, or from each bag of a stack in order.
-
-    Adding bag by bag, never summing the stack axis first, keeps the float
-    order of one bag at a time.
-    """
-    if contrib.ndim == 2:
-        grad += contrib
-    else:
-        for bag_contrib in contrib:
-            grad += bag_contrib
+def _add(target, *terms, axis=0):
+    """Add terms into target in order, slice by slice along the axis they have and
+    target lacks (bags, 0, or tasks, -3): the float order of one bag or task at a time."""
+    extra = terms[0].ndim > target.ndim
+    for parts in zip(*(t.swapaxes(axis, 0) for t in terms)) if extra else [terms]:
+        for part in parts:
+            target += part
 
 
 def _gate(name, V, gate_proj, gate_score):
     """(..., M, 1) softmax weights over the M rows of V, from tanh(V W) w.
 
-    backward(g, g_V, g_proj, g_score) adds the gradients at V (unless g_V
-    is None), W and w into those arrays.
+    backward(g, g_V, g_proj, g_score, before=()) adds the gradients at W and
+    w into those arrays, and at V into g_V unless it is None: task by task,
+    each after that task's terms in `before`.
     """
     if V.shape[-2] == 0:
         raise EmptyBagError(f"{name}: bag has no patches")
     hidden = np.tanh(V @ gate_proj)
     a = ad.softmax(hidden @ gate_score, axis=-2)
 
-    def backward(g, g_V, g_proj, g_score):
+    def backward(g, g_V, g_proj, g_score, before=()):
         g_logits = ad.softmax_grad(a, g, axis=-2)
-        g_hidden = g_logits @ gate_score.T
-        _add_bags(g_score, _T(hidden) @ g_logits)
-        g_pre = g_hidden * (1.0 - hidden * hidden)
+        _add(g_score, _T(hidden) @ g_logits)
+        g_pre = (g_logits @ _T(gate_score)) * (1.0 - hidden * hidden)
         if g_V is not None:
-            g_V += g_pre @ gate_proj.T
-        _add_bags(g_proj, _T(V) @ g_pre)
+            _add(g_V, *before, g_pre @ _T(gate_proj), axis=-3)
+        _add(g_proj, _T(V) @ g_pre)
 
     return a, backward
 
 
 def head_attention(V, gate_proj, gate_score):
-    """One gated attention head: (M, 1) patch weights and their `_gate` backward."""
+    """H gated heads: (..., H, M, 1) weights of V (..., 1, M, D), and their backward."""
     return _gate("head_attention", V, gate_proj, gate_score)
 
 
 def _residual_projection(V, outs, proj, head_grads):
-    """relu(V + concat(outs) @ proj); V, the bag, takes no gradient.
+    """relu(V + concat(outs) @ proj), the (..., H, M, d) head outputs side by
+    side; V, the bag, takes no gradient.
 
     backward(g) adds the gradient at proj into its grad view and hands
-    head_grads the gradient at each head's block of columns.
+    head_grads the gradient at outs.
     """
-    if not outs:
-        raise ContractError("transform: the model has 0 heads; it needs 1 or more")
-    stacked = np.concatenate(outs, axis=-1)
-    pre = V + stacked @ proj.data
+    side_by_side = np.swapaxes(outs, -3, -2).reshape(*V.shape[:-1], -1)
+    pre = V + side_by_side @ proj.data
     mask = pre > 0.0
 
     def backward(g):
         g_pre = g * mask
-        g_stacked = g_pre @ proj.data.T
-        _add_bags(proj.grad, _T(stacked) @ g_pre)
-        head_grads(np.split(g_stacked, len(outs), axis=-1))
+        g_side = g_pre @ proj.data.T
+        _add(proj.grad, _T(side_by_side) @ g_pre)
+        head_grads(np.swapaxes(g_side.reshape(*g.shape[:-1], outs.shape[-3], -1), -3, -2))
 
     return np.where(mask, pre, 0.0), backward
 
@@ -340,63 +343,64 @@ def _residual_projection(V, outs, proj, head_grads):
 def patch_transform(V, params: ModelParams):
     """Gated multi-head transform: concat scaled copies, project, residual, ReLU.
 
-    Returns V', the per-head (M, 1) weight columns and the backward, which
-    adds the gradients at the heads and the projection into params.grad.
+    Returns V', the (..., H, M, 1) head weights and the backward, which adds
+    the gradients at the heads and the projection into params.grad.
     """
-    gates = [head_attention(V, head["gate_proj"].data, head["gate_score"].data)
-             for head in params.heads]
+    if not params.heads:
+        raise ContractError("transform: the model has 0 heads; it needs 1 or more")
+    gate_proj, gate_score = params.heads["gate_proj"], params.heads["gate_score"]
+    V_h = V[..., None, :, :]                      # every head sees the bag
+    weights, gate_backward = head_attention(V_h, gate_proj.data, gate_score.data)
 
-    def head_grads(pieces):
-        for head, (_, gate_backward), piece in zip(params.heads, gates, pieces):
-            gate_backward(np.sum(piece * V, axis=-1, keepdims=True), None,
-                          head["gate_proj"].grad, head["gate_score"].grad)
+    def head_grads(g_outs):
+        gate_backward(np.sum(g_outs * V_h, axis=-1, keepdims=True), None,
+                      gate_proj.grad, gate_score.grad)
 
-    weights = [a for a, _ in gates]
-    outs = [V * a for a in weights]                # each row scaled by its weight
-    Vp, backward = _residual_projection(V, outs, params.proj, head_grads)
+    Vp, backward = _residual_projection(V, V_h * weights, params.proj, head_grads)
     return Vp, weights, backward
 
 
 def sdpa_transform(V, params: ModelParams):
     """Scaled dot-product attention variant of the transform stage.
 
-    Returns V', the per-head (M, M) row-stochastic attention arrays and a
-    backward like patch_transform's.
+    Returns V', the (..., H, M, M) row-stochastic attention of the heads and
+    a backward like patch_transform's.
     """
     if V.shape[-2] == 0:
         raise EmptyBagError("sdpa_transform: bag has no patches")
-    saved = []
-    for head in params.heads:
-        q, k, v = (V @ head[key].data for key in ("query", "key", "value"))
-        kT = np.ascontiguousarray(np.swapaxes(k, -1, -2))
-        scale = 1.0 / math.sqrt(q.shape[-1])    # every head is d_head wide
-        saved.append((head, q, kT, v, ad.softmax((q @ kT) * scale, axis=-1)))
+    if not params.heads:
+        raise ContractError("transform: the model has 0 heads; it needs 1 or more")
+    query, key, value = (params.heads[name] for name in ("query", "key", "value"))
+    V_h = V[..., None, :, :]
+    q, k, v = (V_h @ w.data for w in (query, key, value))
+    kT = np.ascontiguousarray(np.swapaxes(k, -1, -2))
+    scale = 1.0 / math.sqrt(q.shape[-1])        # every head is d_head wide
+    attn = ad.softmax((q @ kT) * scale, axis=-1)
 
-    def head_grads(pieces):
-        for (head, q, kT, v, attn), piece in zip(saved, pieces):
-            g_scores = ad.softmax_grad(attn, piece @ _T(v), axis=-1) * scale
-            _add_bags(head["value"].grad, _T(V) @ (_T(attn) @ piece))
-            _add_bags(head["query"].grad, _T(V) @ (g_scores @ _T(kT)))
-            _add_bags(head["key"].grad, _T(V) @ _T(_T(q) @ g_scores))
+    def head_grads(g_outs):
+        g_scores = ad.softmax_grad(attn, g_outs @ _T(v), axis=-1) * scale
+        _add(value.grad, _T(V_h) @ (_T(attn) @ g_outs))
+        _add(query.grad, _T(V_h) @ (g_scores @ _T(kT)))
+        _add(key.grad, _T(V_h) @ _T(_T(q) @ g_scores))
 
-    outs = [attn @ v for _, _, _, v, attn in saved]
-    Vp, backward = _residual_projection(V, outs, params.proj, head_grads)
-    return Vp, [attn for *_, attn in saved], backward
+    Vp, backward = _residual_projection(V, attn @ v, params.proj, head_grads)
+    return Vp, attn, backward
 
 
 def tag_attention(Vp, gate_proj, gate_score):
-    """Pool V' into one task vector: the (..., 1, D) summary and (..., M, 1) weights.
+    """Pool V' per task: (..., K, 1, D) summaries and (..., K, M, 1) weights
+    for Vp (..., 1, M, D) and K stacked gates; one gate gives (..., 1, D).
 
-    backward(g, g_Vp, g_proj, g_score) adds the gradients at V' (unless
-    g_Vp is None) and the gate's two matrices into those arrays.
+    backward(g, g_Vp, g_proj, g_score) adds the gates' gradients into g_proj
+    and g_score, and unless g_Vp is None the one at V' into g_Vp (no task
+    axis): task by task, the pooling term, then the gate term.
     """
     alpha, gate_backward = _gate("tag_attention", Vp, gate_proj, gate_score)
 
     def backward(g, g_Vp, g_proj, g_score):
         g_alpha = _T(g @ _T(Vp))
-        if g_Vp is not None:
-            g_Vp += alpha @ g
-        gate_backward(g_alpha, g_Vp, g_proj, g_score)
+        before = () if g_Vp is None else (alpha @ g,)
+        gate_backward(g_alpha, g_Vp, g_proj, g_score, before)
 
     return np.swapaxes(alpha, -1, -2) @ Vp, alpha, backward
 
@@ -414,7 +418,7 @@ def predict_tag(pooled, classifier):
 
     def backward(g, g_classifier):
         g_logits = ad.softmax_grad(probs, g, axis=-1)
-        _add_bags(g_classifier, _T(pooled) @ g_logits)
+        _add(g_classifier, _T(pooled) @ g_logits)
         return g_logits @ classifier.T
 
     return probs, backward
@@ -445,31 +449,27 @@ def forward(bag, params: ModelParams):
     if shape[0] == 0:
         raise EmptyBagError(f"forward: bag {bag_id!r} has no patches")
     if shape[1] != params.dims.feature_dim:
-        raise DimensionError(
-            f"forward: bag feature dim {shape[1]} != model "
-            f"feature_dim {params.dims.feature_dim}"
-        )
+        raise DimensionError(f"forward: bag feature dim {shape[1]} != model "
+                             f"feature_dim {params.dims.feature_dim}")
     record = AttentionRecord(bag_id=bag_id)
     Vp, transform_backward = feats, None
     if params.dims.n_heads > 0 and params.variant == "gated":
         Vp, head_w, transform_backward = patch_transform(feats, params)
-        record.head_weights = [w[..., 0].copy() for w in head_w]
+        record.head_weights = list(np.moveaxis(head_w[..., 0], -2, 0).copy())
     elif params.dims.n_heads > 0:
         Vp, _, transform_backward = sdpa_transform(feats, params)
-    probs, task_backwards = [], []
-    for (gate_proj, gate_score), classifier in zip(params.tag_gates, params.classifiers):
-        pooled, alpha, pool_backward = tag_attention(Vp, gate_proj.data, gate_score.data)
-        record.tag_weights.append(alpha[..., 0].copy())
-        p, classify_backward = predict_tag(pooled, classifier.data)
-        probs.append(p)
-        task_backwards.append((pool_backward, classify_backward))
+    gate_proj, gate_score = params.tag_gates
+    pooled, alpha, pool_backward = tag_attention(Vp[..., None, :, :], gate_proj.data,
+                                                 gate_score.data)
+    record.tag_weights = list(np.moveaxis(alpha[..., 0], -2, 0).copy())
+    probs, task_backwards = zip(*(predict_tag(pooled[..., k, :, :], classifier.data)
+                                  for k, classifier in enumerate(params.classifiers)))
 
     def backward(g_rows):
+        g_pooled = [task_backward(g, classifier.grad) for g, task_backward, classifier
+                    in zip(g_rows, task_backwards, params.classifiers)]
         g_Vp = None if transform_backward is None else np.zeros_like(Vp)
-        for g, (pool_backward, classify_backward), (gate_proj, gate_score), classifier \
-                in zip(g_rows, task_backwards, params.tag_gates, params.classifiers):
-            g_pooled = classify_backward(g, classifier.grad)
-            pool_backward(g_pooled, g_Vp, gate_proj.grad, gate_score.grad)
+        pool_backward(np.stack(g_pooled, axis=-3), g_Vp, gate_proj.grad, gate_score.grad)
         if transform_backward is not None:
             transform_backward(g_Vp)
         params.has_grad = True
@@ -484,17 +484,17 @@ def _stack(bags):
     first = np.shape(bags[0].features)
     for b in bags:
         if np.shape(b.features) != first:
-            raise DimensionError(
-                f"forward: bag {b.bag_id!r} has features {np.shape(b.features)}, "
-                f"bag {bags[0].bag_id!r} {first}; a stack needs one shape"
-            )
+            raise DimensionError(f"forward: bag {b.bag_id!r} has features "
+                                 f"{np.shape(b.features)}, bag {bags[0].bag_id!r} "
+                                 f"{first}; a stack needs one shape")
     return np.stack([np.asarray(b.features, dtype=np.float64) for b in bags])
 
 
 def predict_probs(bag, params: ModelParams):
-    """Forward pass returning plain numpy probability vectors."""
+    """Forward pass returning, per task, plain numpy probabilities of shape
+    (n_classes,) for one bag, or (B, n_classes) for a list of B bags."""
     probs, record = forward(bag, params)
-    return [p.data[0].copy() for p in probs], record
+    return [p.data[..., 0, :].copy() for p in probs], record
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +569,4 @@ def load_checkpoint(path) -> ModelParams:
     if len(raw) - end != size:
         raise IntegrityError(f"{path}: blob is {len(raw) - end} bytes, "
                              f"header declares {size}")
-    params = ModelParams.__new__(ModelParams)   # the blob fills flat: no init draws
-    params._lay_out(schema, dims, variant, seed)
-    params.flat[...] = np.frombuffer(raw, dtype="<f8", offset=end)
-    return params
+    return ModelParams(schema, dims, variant, seed, np.frombuffer(raw, "<f8", offset=end))

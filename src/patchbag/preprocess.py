@@ -74,6 +74,8 @@ def read_pnm(path):
     data = raw[pos:pos + count]
     if len(data) != count:
         raise ParseError(f"{path}: pixel data truncated ({len(data)} of {count} bytes)")
+    if len(raw) > pos + count:
+        raise ParseError(f"{path}: {len(raw) - pos - count} bytes after the pixel data")
     arr = np.frombuffer(data, dtype=np.uint8)
     if channels == 1:
         return arr.reshape(height, width).copy()

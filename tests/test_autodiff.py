@@ -78,7 +78,8 @@ def transform_params(variant, heads, feature_dim, seed=0):
 
 
 def head_tensors(params):
-    return [t for head in params.heads for t in head.values()] + [params.proj]
+    return [t for name, t in params.named_parameters()
+            if name.startswith("head") or name == "proj"]
 
 
 def transform_loss(transform, V, params, w):
@@ -207,12 +208,12 @@ class TestElementwise:
     def test_relu_derivative_zero_at_zero(self):
         # uniform weights 1/2 and proj -2 cancel the residual exactly
         params = transform_params("gated", 1, 1)
-        params.heads[0]["gate_proj"].data[...] = 0.0
+        params.heads["gate_proj"].data[...] = 0.0
         params.proj.data[...] = -2.0
         out, _, backward = patch_transform(np.array([[3.0], [-5.0]]), params)
         np.testing.assert_array_equal(out, [[0.0], [0.0]])
         backward(np.ones_like(out))
-        for t in params.heads[0].values():
+        for t in params.heads.values():
             np.testing.assert_array_equal(t.grad, np.zeros_like(t.data))
         np.testing.assert_array_equal(params.proj.grad, [[0.0]])
 
@@ -260,7 +261,7 @@ class TestElementwise:
         V = rng.normal(size=(4, 3))
         w = rng.normal(size=(4, 3))
         assert_grads_match(lambda: transform_loss(patch_transform, V, params, w),
-                           list(params.heads[0].values()), rel=1e-6, abs_=1e-10)
+                           list(params.heads.values()), rel=1e-6, abs_=1e-10)
 
     def test_tanh_backward_matches_finite_differences(self):
         # a scaled-up gate saturates tanh: hidden units close to +-1
@@ -291,8 +292,8 @@ class TestSupportOps:
         w = rng.normal(size=(4, 2))
         assert_grads_match(lambda: transform_loss(patch_transform, V, params, w),
                            head_tensors(params), rel=1e-6, abs_=1e-10)
-        for t in params.heads[1].values():
-            np.testing.assert_array_equal(t.grad, np.zeros_like(t.data))
+        for t in params.heads.values():
+            np.testing.assert_array_equal(t.grad[1], np.zeros_like(t.data[1]))
 
     def test_transpose_gradient(self):
         # scores q k.T: the query and key gradients come back through
@@ -301,8 +302,9 @@ class TestSupportOps:
         rng = np.random.default_rng(31)
         V = rng.normal(size=(7, 6))
         w = rng.normal(size=(7, 6))
+        named = dict(params.named_parameters())
         assert_grads_match(lambda: transform_loss(sdpa_transform, V, params, w),
-                           [head[key] for head in params.heads for key in ("query", "key")],
+                           [named[f"head{i}.{key}"] for i in range(2) for key in ("query", "key")],
                            rel=1e-6, abs_=1e-10)
 
 

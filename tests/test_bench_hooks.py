@@ -108,6 +108,17 @@ def test_traced_gated3_bags_build_at_most_4_tensors_to_train_and_3_to_infer():
     assert max(per_infer) <= 3
 
 
+def test_traced_gated3_batch1_forward_runs_heads_and_task_gates_in_one_call_each():
+    # the heads, and the task gates, run side by side on a leading axis; the
+    # classifiers, whose widths differ, run one per task
+    _, facts, bags, _ = traced_gated3_run()
+    in_train = [f["name"] for f in facts if f["root"] == "cli.train.gated3"]
+    forwards = in_train.count("model.forward")
+    assert forwards == len(bags)
+    assert [in_train.count(name) / forwards for name in (
+        "model.head_attention", "model.tag_attention", "model.predict_tag")] == [1, 1, 3]
+
+
 def test_traced_batch8_step_on_equal_shapes_builds_one_tensor_per_task_and_the_loss():
     # one stacked forward per batch: K probability tensors, then the loss
     spans = load_spans()

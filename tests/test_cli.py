@@ -241,8 +241,7 @@ class TestExportCommand:
                                   ("shape", ("dot", "bar", "box"))))
         dims = ModelDims(feature_dim=8, attn_hidden=4, tag_hidden=4, n_heads=0)
         params = ModelParams(schema, dims, "gated", 0)
-        for gate_proj, _gate_score in params.tag_gates:
-            gate_proj.data[:] = 0.0  # equal logits, so uniform attention
+        params.tag_gates[0].data[:] = 0.0  # every gate_proj: equal logits, uniform attention
         ckpt = tmp_path / "uniform.ckpt"
         save_checkpoint(params, ckpt)
         data = make_data_dir(tmp_path)
@@ -461,6 +460,9 @@ BAD_INPUTS = [
         edit=("manifest", b"feature_dim 8\n", b"feature_dim 0\n")),
     bad("slide-header-width", "preprocess", "width", code=4,
         edit=("slide", b"\n420 420\n", b"\n4x 4\n")),
+    # a header one row short leaves that row's 420 x 3 bytes after the pixels
+    bad("slide-trailing-bytes", "preprocess", "1260 bytes after the pixel data", code=4,
+        edit=("slide", b"\n420 420\n", b"\n420 419\n")),
 ]
 
 

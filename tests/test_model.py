@@ -95,8 +95,8 @@ class TestHeadAttention:
     def test_single_patch_gets_full_weight(self):
         params = small_params(feature_dim=3)
         V = np.random.default_rng(0).normal(size=(1, 3))
-        a, _ = head_attention(V, params.heads[0]["gate_proj"].data,
-                              params.heads[0]["gate_score"].data)
+        a, _ = head_attention(V, params.heads["gate_proj"].data[0],
+                              params.heads["gate_score"].data[0])
         np.testing.assert_array_equal(a, [[1.0]])
 
     def test_zero_gate_gives_uniform(self):
@@ -119,8 +119,8 @@ class TestHeadAttention:
         params = small_params(feature_dim=3)
         with pytest.raises(EmptyBagError):
             head_attention(np.zeros((0, 3)),
-                           params.heads[0]["gate_proj"].data,
-                           params.heads[0]["gate_score"].data)
+                           params.heads["gate_proj"].data[0],
+                           params.heads["gate_score"].data[0])
 
 
 def row_scaling_transform(gate_proj, gate_score):
@@ -131,8 +131,8 @@ def row_scaling_transform(gate_proj, gate_score):
     """
     dims = ModelDims(feature_dim=2, attn_hidden=len(gate_score), tag_hidden=4, n_heads=1)
     params = ModelParams(SMALL_SCHEMA, dims, "gated", seed=0)
-    params.heads[0]["gate_proj"].data[...] = gate_proj
-    params.heads[0]["gate_score"].data[...] = gate_score
+    params.heads["gate_proj"].data[0] = gate_proj
+    params.heads["gate_score"].data[0] = gate_score
     params.proj.data[...] = np.eye(2)
     return params
 
@@ -236,7 +236,7 @@ class TestTagAttention:
     def test_single_patch_returns_that_row(self):
         params = small_params()
         Vp = np.random.default_rng(10).normal(size=(1, 6))
-        pooled, alpha, _ = tag_attention(Vp, *(t.data for t in params.tag_gates[0]))
+        pooled, alpha, _ = tag_attention(Vp, *(t.data[0] for t in params.tag_gates))
         np.testing.assert_array_equal(alpha, [[1.0]])
         np.testing.assert_array_equal(pooled[0], Vp[0])
 
@@ -255,6 +255,23 @@ class TestTagAttention:
         pooled, alpha, _ = tag_attention(Vp, gate_proj, gate_score)
         np.testing.assert_allclose(alpha[:, 0], [0.75, 0.25], rtol=1e-12)
         np.testing.assert_allclose(pooled[0], [0.75, 0.25], rtol=1e-12)
+
+    def test_stacked_gates_equal_one_call_per_gate_bit_for_bit(self):
+        # K = 3 gates over a stack of 2 bags, forward and backward: the
+        # gradient at V' takes each task's pooling term, then its gate term
+        rng = np.random.default_rng(60)
+        Vp = rng.normal(size=(2, 5, 4))
+        gate_proj, gate_score = rng.normal(size=(3, 4, 3)), rng.normal(size=(3, 3, 1))
+        g = rng.normal(size=(2, 3, 1, 4))
+        pooled, alpha, backward = tag_attention(Vp[:, None], gate_proj, gate_score)
+        got = [np.zeros_like(a) for a in (Vp, gate_proj, gate_score)]
+        backward(g, *got)
+        want = [np.zeros_like(a) for a in got]
+        for k in range(3):
+            p, a, one_backward = tag_attention(Vp, gate_proj[k], gate_score[k])
+            assert np.array_equal(pooled[:, k], p) and np.array_equal(alpha[:, k], a)
+            one_backward(g[:, k], want[0], want[1][k], want[2][k])
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 class TestPredictTag:
@@ -329,7 +346,7 @@ class TestForward:
 
     def test_heads_zero_skips_transform(self):
         params = small_params(heads=0)
-        assert params.proj is None and params.heads == []
+        assert params.proj is None and params.heads == {}
         rng = np.random.default_rng(20)
         bag = random_bag(rng, 4, 6)
         probs, record = predict_probs(bag, params)
@@ -357,6 +374,18 @@ class TestStackedForward:
             for w, v in zip(record.tag_weights + record.head_weights,
                             rec.tag_weights + rec.head_weights, strict=True):
                 assert np.array_equal(w[i], v)
+
+    def test_predict_probs_gives_each_stacked_bag_its_row(self):
+        params = small_params()
+        rng = np.random.default_rng(27)
+        bags = [random_bag(rng, 5, 6, bag_id=f"b{i}") for i in range(3)]
+        probs, _ = predict_probs(bags, params)
+        assert [p.shape for p in probs] == [(3, 2), (3, 3)]
+        for i, bag in enumerate(bags):
+            alone, _ = predict_probs(bag, params)
+            assert [q.shape for q in alone] == [(2,), (3,)]
+            for p, q in zip(probs, alone):
+                assert np.array_equal(p[i], q)
 
     def test_mixed_shapes_rejected_naming_both(self):
         params = small_params()
@@ -469,6 +498,21 @@ class TestLayerGradients:
 
         assert_grads_match(loss, [Vp, gate_proj, gate_score], rel=1e-6, abs_=1e-10)
 
+    def test_tag_attention_with_stacked_gates_including_the_input(self):
+        rng = np.random.default_rng(59)
+        Vp = leaf(rng.normal(size=(6, 4)))
+        gate_proj = leaf(rng.normal(size=(3, 4, 3)))
+        gate_score = leaf(rng.normal(size=(3, 3, 1)))
+        w = rng.normal(size=(3, 1, 4))
+
+        def loss():
+            pooled, _, backward = tag_attention(Vp.data[None], gate_proj.data,
+                                                gate_score.data)
+            return weighed(pooled, w, lambda g: backward(g, Vp.grad, gate_proj.grad,
+                                                         gate_score.grad))
+
+        assert_grads_match(loss, [Vp, gate_proj, gate_score], rel=1e-6, abs_=1e-10)
+
     @pytest.mark.parametrize("variant,heads", [("gated", 2), ("gated", 1), ("sdpa", 2),
                                                ("sdpa", 3)])
     def test_transform(self, variant, heads):
@@ -477,7 +521,8 @@ class TestLayerGradients:
         V = rng.normal(size=(5, 6))
         w = rng.normal(size=(5, 6))
         transform = patch_transform if variant == "gated" else sdpa_transform
-        tensors = [t for head in params.heads for t in head.values()] + [params.proj]
+        tensors = [t for name, t in params.named_parameters() if name.startswith("head")]
+        tensors.append(params.proj)
 
         def loss():
             out, _, backward = transform(V, params)
@@ -588,6 +633,28 @@ class TestFlat:
             offset += t.data.size
         named[-1].data[...] = -1.0
         assert np.all(params.flat[-named[-1].data.size:] == -1.0)
+
+    @pytest.mark.parametrize("variant,heads,keys", [
+        ("gated", 3, ["gate_proj", "gate_score"]), ("gated", 1, ["gate_proj", "gate_score"]),
+        ("sdpa", 2, ["query", "key", "value"]), ("gated", 0, []),   # 0 heads: no head views
+    ])
+    def test_stacked_views_alias_flat_and_grad(self, variant, heads, keys):
+        params = TestCopy().trained_looking(variant, heads)
+        params.grad[...] = -np.arange(params.grad.size)
+        named = dict(params.named_parameters())
+        assert list(params.heads) == keys
+        stacks = [("head", heads, key, t) for key, t in params.heads.items()]
+        stacks += [("tag", SMALL_SCHEMA.n_tasks, key, t)
+                   for key, t in zip(("gate_proj", "gate_score"), params.tag_gates)]
+        for prefix, n, key, t in stacks:
+            assert t.data.shape == (n, *named[f"{prefix}0.{key}"].data.shape)
+            assert np.shares_memory(t.data, params.flat)
+            assert np.shares_memory(t.grad, params.grad)
+            t.data[...] += 1.0                  # writes land in the named matrices
+            for i in range(n):
+                matrix = named[f"{prefix}{i}.{key}"]
+                assert t.data[i].tobytes() == matrix.data.tobytes()
+                assert t.grad[i].tobytes() == matrix.grad.tobytes()
 
     # sha256 of the untrained checkpoints written before the parameters moved
     # into one vector: the init draws and the blob layout must not change

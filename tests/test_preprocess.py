@@ -59,6 +59,13 @@ class TestPnmIO:
         with pytest.raises(ParseError):
             read_pnm(path)
 
+    def test_bytes_after_the_pixels_rejected_with_their_count(self, tmp_path):
+        path = tmp_path / "t.ppm"
+        write_pnm(path, np.zeros((4, 4, 3), dtype=np.uint8))
+        path.write_bytes(path.read_bytes() + b"\x00" * 20)
+        with pytest.raises(ParseError, match=r"t\.ppm: 20 bytes after the pixel data"):
+            read_pnm(path)
+
     def test_unsupported_magic_rejected(self, tmp_path):
         path = tmp_path / "a.pbm"
         path.write_bytes(b"P1\n2 2\n0 1 1 0\n")
