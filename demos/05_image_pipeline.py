@@ -47,5 +47,5 @@ print("augmented shapes:", {p.pixels.shape for p in final})
 print("one augmentation log:", final[0].ops_log)
 
 fparams = FeaturizerParams.initialize(hidden_dim=32, out_dim=16, seed=2)
-features = np.stack([featurize(p, fparams) for p in final])
+features = featurize(final, fparams)  # a list runs as one stack
 print("bag features:", features.shape)

@@ -5,8 +5,9 @@ Images come in as binary 8-bit PGM (grayscale) or PPM (color). Otsu's
 threshold on the grayscale histogram separates dark tissue from bright
 background; fixed-size windows are sampled from the foreground, augmented
 down to 224 x 224, and turned into feature vectors by a fixed, seeded
-two-layer affine+ReLU projection. Nothing trains the featurizer: its
-weights are drawn from the seed and never updated.
+two-layer affine+ReLU projection, run on (N, 224, 224[, 3]) stacks; each of
+the N rows has the bytes of its patch featurized alone. Nothing trains the
+featurizer: its weights are drawn from the seed and never updated.
 """
 
 import math
@@ -99,8 +100,10 @@ def to_grayscale(image):
     image = np.asarray(image)
     if image.ndim == 2:
         return image.astype(np.uint8)
-    luma = image[..., 0] * LUMA[0] + image[..., 1] * LUMA[1] + image[..., 2] * LUMA[2]
-    return np.clip(np.rint(luma), 0, 255).astype(np.uint8)
+    luma = image[..., 0] * LUMA[0]
+    luma += image[..., 1] * LUMA[1]
+    luma += image[..., 2] * LUMA[2]           # at most 255.0: no clip needed
+    return np.rint(luma, out=luma).astype(np.uint8)
 
 
 def gray_histogram(gray):
@@ -169,17 +172,20 @@ class PatchImage:
 
 def valid_anchors(mask, patch_size: int):
     """Top-left corners whose window is inside bounds and mostly foreground."""
-    mask = np.asarray(mask, dtype=np.float64)
+    mask = np.asarray(mask, dtype=bool)
     h, w = mask.shape
     if h < patch_size or w < patch_size:
         return np.empty((0, 2), dtype=np.int64)
-    # integral image makes every window sum O(1)
-    ii = np.zeros((h + 1, w + 1))
-    ii[1:, 1:] = mask.cumsum(axis=0).cumsum(axis=1)
+    # separable int32 running counts; wrapped totals still give exact windows
     p = patch_size
-    sums = ii[p:, p:] - ii[:-p, p:] - ii[p:, :-p] + ii[:-p, :-p]
-    ys, xs = np.nonzero(sums >= FOREGROUND_QUOTA * p * p)
-    return np.stack([ys, xs], axis=1).astype(np.int64)
+    runs = np.zeros((h + 1, w), dtype=np.int32)
+    runs[1:] = mask
+    for i in range(1, h + 1):   # row by row: np.cumsum down axis 0 is ~10x slower
+        runs[i] += runs[i - 1]
+    cols = np.zeros((h - p + 1, w + 1), dtype=np.int32)
+    np.cumsum(runs[p:] - runs[:-p], axis=1, out=cols[:, 1:])
+    sums = cols[:, p:] - cols[:, :-p]
+    return np.argwhere(sums >= math.ceil(FOREGROUND_QUOTA * p * p))
 
 
 def sample_patches(image, mask, count: int, patch_size: int, seed):
@@ -256,6 +262,7 @@ def augment(patch: PatchImage, seed) -> PatchImage:
 STATS_LEN = 6
 POOL_LEN = POOL_SIDE * POOL_SIDE
 FEAT_INPUT_LEN = POOL_LEN + STATS_LEN
+FEATURIZE_CHUNK = 8       # patches per stack: bounds its float64 copies
 
 
 @dataclass
@@ -286,31 +293,39 @@ class FeaturizerParams:
 
 
 def pooled_stats(pixels):
-    """Fixed 790-vector: 28x28 block-averaged luma plus channel mean/std."""
+    """(N, 790): 28x28 block-mean luma and channel mean/std of an (N, 224, 224[, 3])
+    uint8 stack. Each sum runs over one patch in one fixed order, so row bytes
+    do not depend on N."""
     pixels = np.asarray(pixels)
-    if pixels.shape[:2] != (PATCH_SIDE, PATCH_SIDE):
+    if pixels.shape[1:3] != (PATCH_SIDE, PATCH_SIDE) or pixels.shape[3:] not in ((), (3,)):
         raise SizeError(f"featurize: need {PATCH_SIDE}x{PATCH_SIDE} pixels, "
                         f"got {pixels.shape}")
-    gray = to_grayscale(pixels).astype(np.float64) / 255.0
+    n, color = len(pixels), pixels.ndim == 4
+    gray = (to_grayscale(pixels) if color else pixels) / 255.0
     block = PATCH_SIDE // POOL_SIDE
-    pooled = gray.reshape(POOL_SIDE, block, POOL_SIDE, block).mean(axis=(1, 3))
-    if pixels.ndim == 3:
-        chans = pixels.astype(np.float64) / 255.0
-        stats = np.concatenate([chans.mean(axis=(0, 1)), chans.std(axis=(0, 1))])
-    else:
-        g = gray
-        stats = np.array([g.mean()] * 3 + [g.std()] * 3)
-    return np.concatenate([pooled.ravel(), stats])
+    pooled = gray.reshape(n, POOL_SIDE, block, POOL_SIDE, block).mean(axis=(2, 4))
+    if color:   # pixel-major: one sequential chain per (patch, channel) column
+        x, axis = np.empty((PATCH_SIDE * PATCH_SIDE, n * 3)), 0
+        np.divide(pixels.reshape(n, -1, 3).transpose(1, 0, 2), 255.0, out=x.reshape(-1, n, 3))
+    else:       # one pairwise chain along each patch's contiguous pixels
+        x, axis = gray.reshape(n, -1), 1
+    mean = x.sum(axis=axis, keepdims=True) / x.shape[axis]   # np.std's arithmetic
+    x -= mean                                 # x is this call's own copy
+    x *= x
+    std = np.sqrt(x.sum(axis=axis, keepdims=True) / x.shape[axis])
+    stats = [np.broadcast_to(v.reshape(n, -1), (n, 3)) for v in (mean, std)]
+    return np.concatenate([pooled.reshape(n, POOL_LEN), *stats], axis=1)
 
 
-def featurize(patch: PatchImage, fparams: FeaturizerParams) -> np.ndarray:
-    """Feature vector of length out_dim for one patch."""
-    x = pooled_stats(patch.pixels).reshape(1, FEAT_INPUT_LEN)
-    h = x @ fparams.w1 + fparams.b1
+def featurize(patches, fparams: FeaturizerParams) -> np.ndarray:
+    """out_dim features of one patch, or (N, out_dim) of a list: a matmul per row."""
+    single = isinstance(patches, PatchImage)
+    stack = np.stack([p.pixels for p in ([patches] if single else patches)])
+    h = pooled_stats(stack)[:, None, :] @ fparams.w1 + fparams.b1
     h = np.where(h > 0.0, h, 0.0)
     y = h @ fparams.w2 + fparams.b2
-    y = np.where(y > 0.0, y, 0.0)
-    return y.reshape(fparams.out_dim)
+    y = np.where(y > 0.0, y, 0.0).reshape(len(stack), fparams.out_dim)
+    return y[0] if single else y
 
 
 def image_to_features(image, count: int, patch_size: int,
@@ -326,16 +341,11 @@ def image_to_features(image, count: int, patch_size: int,
         # single-intensity image: nothing separable from background
         raise InsufficientForegroundError(found=0, needed=count)
     mask = foreground_mask(gray, result.threshold)
-    if isinstance(seed, np.random.SeedSequence):
-        root = seed
-    else:
-        root = np.random.SeedSequence(seed)
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     sample_ss, augment_ss = root.spawn(2)
     patches = sample_patches(image, mask, count, patch_size, sample_ss)
-    rows = []
-    final = []
-    for patch, stream in zip(patches, augment_ss.spawn(count)):
-        aug = augment(patch, seed=stream)  # default_rng accepts SeedSequence
-        final.append(aug)
-        rows.append(featurize(aug, fparams))
-    return np.stack(rows), final
+    final = [augment(patch, seed=stream)  # default_rng accepts SeedSequence
+             for patch, stream in zip(patches, augment_ss.spawn(count))]
+    feats = [featurize(final[i:i + FEATURIZE_CHUNK], fparams)
+             for i in range(0, count, FEATURIZE_CHUNK)]
+    return np.concatenate(feats), final

@@ -26,19 +26,21 @@ def numeric_grads(loss_builder, tensors, step=1e-5, sample=None, seed=0):
     pairs = []
     for t in tensors:
         analytic = t.grad.copy().reshape(-1)
-        flat = t.data.reshape(-1)
-        if sample is None or sample >= flat.size:
-            coords = np.arange(flat.size)
+        size = t.data.size
+        if sample is None or sample >= size:
+            coords = np.arange(size)
         else:
-            coords = rng.choice(flat.size, size=sample, replace=False)
+            coords = rng.choice(size, size=sample, replace=False)
         numeric = np.empty(len(coords))
         for j, i in enumerate(coords):
-            orig = flat[i]
-            flat[i] = orig + step
+            # index the tensor itself: reshape(-1) of a strided view is a copy
+            at = np.unravel_index(i, t.data.shape)
+            orig = t.data[at]
+            t.data[at] = orig + step
             up = float(loss_builder().data)
-            flat[i] = orig - step
+            t.data[at] = orig - step
             down = float(loss_builder().data)
-            flat[i] = orig
+            t.data[at] = orig
             numeric[j] = (up - down) / (2.0 * step)
         pairs.append((analytic[coords], numeric))
     return pairs
@@ -117,6 +119,15 @@ def otsu_exhaustive_exact(hist):
         if num * best_den > best_num * den:
             best_t, best_num, best_den = t, num, den
     return best_t
+
+
+def anchors_by_window_sums(mask, patch_size):
+    """(y, x) of every window with at least half its pixels set, in row-major
+    order, each window counted directly from its own pixels."""
+    h, w = mask.shape
+    quota = patch_size * patch_size  # compared against twice the count
+    return [(y, x) for y in range(h - patch_size + 1) for x in range(w - patch_size + 1)
+            if 2 * int(mask[y:y + patch_size, x:x + patch_size].sum()) >= quota]
 
 
 def nearest_prototype_labels(bag, trace_entry, prototypes, schema):

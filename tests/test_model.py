@@ -562,6 +562,20 @@ class TestFullModelGradients:
 
         assert_grads_match(loss_builder, params.parameters(), rel=1e-4, abs_=1e-8)
 
+    def test_stacked_head_views_match_finite_differences(self):
+        # at H >= 2 the (H, rows, cols) head views are strided, not contiguous
+        params = small_params(heads=2)
+        stacked = [params.heads["gate_proj"], params.heads["gate_score"]]
+        assert not stacked[0].data.flags.c_contiguous
+        bag = random_bag(np.random.default_rng(23), 4, 6)
+
+        def loss_builder():
+            probs, _ = forward(bag, params)
+            return multi_task_loss([[p] for p in probs], np.array([bag.labels]),
+                                   (1.0, 1.0))
+
+        assert_grads_match(loss_builder, stacked, rel=1e-4, abs_=1e-8)
+
 
 class TestCopy:
     VARIANTS = [("gated", 3), ("gated", 0), ("sdpa", 2)]

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from patchbag.preprocess import (
     write_pnm,
 )
 
-from oracles import otsu_exhaustive_exact
+from oracles import anchors_by_window_sums, otsu_exhaustive_exact
 
 
 def bimodal_histogram(rng, lo_center=60, hi_center=190, spread=18, n=4000):
@@ -154,6 +156,36 @@ class TestSampling:
         assert set(anchors[:, 1].tolist()) == {0, 1, 2, 3, 4, 5}
 
 
+class TestValidAnchors:
+    @pytest.mark.parametrize("shape,patch,density", [
+        ((12, 12), 4, 0.5), ((9, 17), 5, 0.5), ((23, 8), 6, 0.45),
+        ((31, 40), 7, 0.55), ((6, 6), 6, 0.5), ((6, 15), 6, 0.5), ((14, 5), 5, 0.6),
+    ])
+    def test_matches_direct_window_sums_on_random_masks(self, shape, patch, density):
+        rng = np.random.default_rng([61, *shape, patch])
+        for _ in range(4):
+            mask = rng.random(shape) < density
+            anchors = valid_anchors(mask, patch)
+            assert anchors.dtype == np.int64 and anchors.shape[1] == 2
+            assert [tuple(a) for a in anchors.tolist()] == anchors_by_window_sums(mask, patch)
+
+    def test_window_exactly_at_the_quota_is_kept(self):
+        mask = np.zeros((4, 4), dtype=bool)
+        mask.flat[:8] = True                 # 8 of 16: exactly half
+        assert valid_anchors(mask, 4).tolist() == [[0, 0]]
+        mask.flat[7] = False                 # 7 of 16: one short
+        assert valid_anchors(mask, 4).shape == (0, 2)
+
+    def test_window_as_large_as_the_mask(self):
+        mask = np.ones((9, 9), dtype=bool)
+        assert valid_anchors(mask, 9).tolist() == [[0, 0]]
+
+    @pytest.mark.parametrize("shape", [(5, 20), (20, 5), (5, 5)])
+    def test_mask_smaller_than_the_window_gives_no_anchor(self, shape):
+        anchors = valid_anchors(np.ones(shape, dtype=bool), 6)
+        assert anchors.shape == (0, 2) and anchors.dtype == np.int64
+
+
 class TestAugment:
     def make_patch(self, side=260, seed=6):
         rng = np.random.default_rng(seed)
@@ -215,9 +247,54 @@ class TestFeaturizer:
             featurize(PatchImage(np.zeros((100, 100), dtype=np.uint8), 0, 0), fparams)
 
     def test_pooled_stats_shape_and_grayscale_path(self):
-        gray = np.zeros((224, 224), dtype=np.uint8)
+        gray = np.zeros((1, 224, 224), dtype=np.uint8)
         stats = pooled_stats(gray)
-        assert stats.shape == (28 * 28 + 6,)
+        assert stats.shape == (1, 28 * 28 + 6)
+
+    @staticmethod
+    def random_patches(color, n=11, seed=71):
+        rng = np.random.default_rng([seed, color])
+        shape = (224, 224, 3) if color else (224, 224)
+        # each patch its own brightness range, so the stats differ row to row
+        return [PatchImage(rng.integers(lo, lo + 96, shape, dtype=np.uint8), 0, 0)
+                for lo in rng.integers(0, 160, n)]
+
+    @pytest.mark.parametrize("color", [True, False], ids=["P6", "P5"])
+    def test_stack_rows_equal_single_patches_bit_for_bit(self, color):
+        fparams = FeaturizerParams.initialize(seed=3)
+        patches = self.random_patches(color)
+        stacked = featurize(patches, fparams)
+        assert stacked.shape == (len(patches), 64)
+        for row, patch in zip(stacked, patches):
+            assert row.tobytes() == featurize(patch, fparams).tobytes()
+        for i in (0, 3, 8):
+            part = featurize(patches[i:i + 3], fparams)
+            assert part.tobytes() == stacked[i:i + 3].tobytes()
+
+    @pytest.mark.parametrize("color", [True, False], ids=["P6", "P5"])
+    def test_stats_rows_equal_numpy_mean_and_std_per_patch(self, color):
+        patches = self.random_patches(color, n=5)
+        rows = pooled_stats(np.stack([p.pixels for p in patches]))
+        for row, patch in zip(rows, patches):
+            if color:
+                chans = patch.pixels.astype(np.float64) / 255.0
+                want = np.concatenate([chans.mean(axis=(0, 1)), chans.std(axis=(0, 1))])
+            else:
+                g = patch.pixels.astype(np.float64) / 255.0
+                want = np.array([g.mean()] * 3 + [g.std()] * 3)
+            assert row[-6:].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 100, 224, 3), (3, 224, 223), (224, 224),
+                                       (2, 224, 224, 4)])
+    def test_stack_of_the_wrong_shape_rejected(self, shape):
+        with pytest.raises(SizeError):
+            pooled_stats(np.zeros(shape, dtype=np.uint8))
+
+    def test_list_of_wrong_size_patches_rejected(self):
+        fparams = FeaturizerParams.initialize(seed=0)
+        small = PatchImage(np.zeros((100, 100, 3), dtype=np.uint8), 0, 0)
+        with pytest.raises(SizeError):
+            featurize([small, small], fparams)
 
 
 class TestImagePipeline:
@@ -238,6 +315,29 @@ class TestImagePipeline:
         assert len(patches) == 4
         assert all(p.pixels.shape[:2] == (224, 224) for p in patches)
 
+    @staticmethod
+    def seeded_slide(seed, side, color):
+        rng = np.random.default_rng(seed)
+        shape = (side, side, 3) if color else (side, side)
+        img = rng.integers(235, 256, size=shape, dtype=np.uint8)
+        lo, hi = side // 7, side - side // 7
+        img[lo:hi, lo:hi] = rng.integers(30, 110, size=(hi - lo, hi - lo) + shape[2:],
+                                         dtype=np.uint8)
+        return img
+
+    # sha256 of image_to_features' float64 bytes, written before the featurizer
+    # ran on stacks: 10 patches make one full chunk of 8 and one partial one
+    @pytest.mark.parametrize("color,seed,side,digest", [
+        (True, 9, 420, "8a636561c6e454477973bf6c9e0688b5cac115edfc7b642d5220682f6de93594"),
+        (False, 11, 400, "d2a1a2758be50ea716279d0c2e69acc0499910c48387207045abb1b792e387d4"),
+    ], ids=["P6", "P5"])
+    def test_feature_bytes_are_pinned(self, color, seed, side, digest):
+        fparams = FeaturizerParams.initialize(seed=5)
+        feats, _ = image_to_features(self.seeded_slide(seed, side, color), count=10,
+                                     patch_size=240, fparams=fparams, seed=21)
+        assert feats.shape == (10, 64)
+        assert hashlib.sha256(feats.tobytes()).hexdigest() == digest
+
     def test_mask_separates_tissue_from_background(self):
         img = self.make_tissue_image()
         gray = to_grayscale(img)
@@ -251,3 +351,19 @@ class TestImagePipeline:
         with pytest.raises(InsufficientForegroundError):
             image_to_features(white, count=2, patch_size=224, fparams=fparams,
                               seed=0)
+
+
+class TestGrayscale:
+    def test_every_rgb_triple_matches_the_rounded_luma(self):
+        # all 2^24 triples, one red value at a time: 65,536 pixels per call
+        green, blue = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+        rgb = np.empty((256, 256, 3), dtype=np.uint8)
+        rgb[..., 1], rgb[..., 2] = green, blue
+        for red in range(256):
+            rgb[..., 0] = red
+            want = np.clip(np.rint(0.299 * red + 0.587 * green + 0.114 * blue), 0, 255)
+            assert np.array_equal(to_grayscale(rgb), want.astype(np.uint8)), red
+
+    def test_gray_input_passes_through(self):
+        gray = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        assert to_grayscale(gray).tobytes() == gray.tobytes()
