@@ -1,19 +1,20 @@
 """A gradient check through two model layers: task pooling and its classifier.
 
 Each layer of the model works on arrays and returns its value together
-with its own backward, written by hand in numpy. Chaining the two
-backwards gives every input's gradient, and nudging an entry and re-running
-the forward pass confirms each one.
+with its own backward, written by hand in numpy. The training loss,
+`multi_task_loss`, hands the class probabilities their gradient; chaining
+the two layer backwards after it gives every input's gradient, and nudging
+an entry and re-running the forward pass confirms each one.
 
 Run:  python demos/01_autodiff_basics.py
 """
 
 import numpy as np
 
-from patchbag import autodiff as ad
-from patchbag.autodiff import Tensor
+from patchbag.autodiff import Tensor, backward
 from patchbag.errors import ContractError
-from patchbag.model import predict_tag, tag_attention
+from patchbag.model import predict_tag, softmax, tag_attention
+from patchbag.training import multi_task_loss
 
 rng = np.random.default_rng(0)
 
@@ -34,13 +35,13 @@ def build_loss():
     pooled, alpha, pool_backward = tag_attention(x["Vp"], x["gate_proj"], x["gate_score"])
     probs, classify_backward = predict_tag(pooled, x["classifier"])
 
-    def backward(rows):
+    def bag_backward(rows):
         # the classifier first, then the pooling it read from; each adds
         # its inputs' gradients into the arrays it is given
         g_pooled = classify_backward(rows[0], grads["classifier"])
         pool_backward(g_pooled, grads["Vp"], grads["gate_proj"], grads["gate_score"])
 
-    loss = ad.weighted_nll([[Tensor(probs, backward)]], label, [1.0])
+    loss = multi_task_loss([[Tensor(probs, bag_backward)]], label, (1.0,))
     return loss, alpha, probs
 
 
@@ -51,7 +52,7 @@ print("loss:", float(loss.data))
 
 # The loss's backward hands the probability row its gradient, and the
 # chained layer backwards carry it to every input.
-ad.backward(loss)
+backward(loss)
 
 # Central finite differences on one entry of every input agree.
 step = 1e-6
@@ -67,10 +68,10 @@ for name, x in inputs.items():
           f"finite difference {numeric:+.8f}")
 
 # Softmax over a column normalizes across rows, stable under large shifts.
-print("softmax sums to", ad.softmax(rng.normal(size=(5, 1)) * 50, axis=0).sum())
+print("softmax sums to", softmax(rng.normal(size=(5, 1)) * 50, axis=0).sum())
 
 # A second backward of the same loss is rejected, catching a classic bug.
 try:
-    ad.backward(loss)
+    backward(loss)
 except ContractError as err:
     print("second backward:", err)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import (
     ConfigError,
@@ -34,6 +33,7 @@ from .errors import (
     DimensionError,
     EmptyBagError,
     IntegrityError,
+    NumericError,
     ParseError,
 )
 
@@ -278,6 +278,19 @@ class ModelParams:
         return ModelParams(self.schema, self.dims, self.variant, self.seed, self.flat)
 
 
+def softmax(x, axis: int):
+    """Numerically stable softmax of an array along one axis (max subtraction)."""
+    if not np.all(np.isfinite(x)):
+        raise NumericError("softmax: input contains NaN or Inf")
+    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def softmax_grad(y, g, axis: int):
+    """Gradient at the input of softmax output y, given the gradient g at y."""
+    return y * (g - np.sum(g * y, axis=axis, keepdims=True))
+
+
 def _T(x):
     """The transpose of one bag's matrix, or of each matrix in a stack."""
     return x.swapaxes(-1, -2)
@@ -302,10 +315,10 @@ def _gate(name, V, gate_proj, gate_score):
     if V.shape[-2] == 0:
         raise EmptyBagError(f"{name}: bag has no patches")
     hidden = np.tanh(V @ gate_proj)
-    a = ad.softmax(hidden @ gate_score, axis=-2)
+    a = softmax(hidden @ gate_score, axis=-2)
 
     def backward(g, g_V, g_proj, g_score, before=()):
-        g_logits = ad.softmax_grad(a, g, axis=-2)
+        g_logits = softmax_grad(a, g, axis=-2)
         _add(g_score, _T(hidden) @ g_logits)
         g_pre = (g_logits @ _T(gate_score)) * (1.0 - hidden * hidden)
         if g_V is not None:
@@ -375,10 +388,10 @@ def sdpa_transform(V, params: ModelParams):
     q, k, v = (V_h @ w.data for w in (query, key, value))
     kT = np.ascontiguousarray(np.swapaxes(k, -1, -2))
     scale = 1.0 / math.sqrt(q.shape[-1])        # every head is d_head wide
-    attn = ad.softmax((q @ kT) * scale, axis=-1)
+    attn = softmax((q @ kT) * scale, axis=-1)
 
     def head_grads(g_outs):
-        g_scores = ad.softmax_grad(attn, g_outs @ _T(v), axis=-1) * scale
+        g_scores = softmax_grad(attn, g_outs @ _T(v), axis=-1) * scale
         _add(value.grad, _T(V_h) @ (_T(attn) @ g_outs))
         _add(query.grad, _T(V_h) @ (g_scores @ _T(kT)))
         _add(key.grad, _T(V_h) @ _T(_T(q) @ g_scores))
@@ -414,10 +427,10 @@ def predict_tag(pooled, classifier):
     if pooled.shape[-1] != classifier.shape[0]:
         raise DimensionError(f"predict_tag: pooled {pooled.shape} vs classifier "
                              f"{classifier.shape}")
-    probs = ad.softmax(pooled @ classifier, axis=-1)
+    probs = softmax(pooled @ classifier, axis=-1)
 
     def backward(g, g_classifier):
-        g_logits = ad.softmax_grad(probs, g, axis=-1)
+        g_logits = softmax_grad(probs, g, axis=-1)
         _add(g_classifier, _T(pooled) @ g_logits)
         return g_logits @ classifier.T
 

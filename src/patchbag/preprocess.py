@@ -320,11 +320,14 @@ def pooled_stats(pixels):
 def featurize(patches, fparams: FeaturizerParams) -> np.ndarray:
     """out_dim features of one patch, or (N, out_dim) of a list: a matmul per row."""
     single = isinstance(patches, PatchImage)
-    stack = np.stack([p.pixels for p in ([patches] if single else patches)])
-    h = pooled_stats(stack)[:, None, :] @ fparams.w1 + fparams.b1
+    pixels = [p.pixels for p in ([patches] if single else patches)]
+    shapes = sorted({p.shape for p in pixels})
+    if len(shapes) != 1:
+        raise SizeError(f"featurize: need one or more patches of one shape, got {shapes}")
+    h = pooled_stats(np.stack(pixels))[:, None, :] @ fparams.w1 + fparams.b1
     h = np.where(h > 0.0, h, 0.0)
     y = h @ fparams.w2 + fparams.b2
-    y = np.where(y > 0.0, y, 0.0).reshape(len(stack), fparams.out_dim)
+    y = np.where(y > 0.0, y, 0.0).reshape(len(pixels), fparams.out_dim)
     return y[0] if single else y
 
 

@@ -1,5 +1,5 @@
-"""Multi-task training: weighted cross-entropy, Adam, the epoch loop,
-evaluation, and attention-ranking export.
+"""Multi-task training: the weighted cross-entropy loss and its backward,
+Adam, the epoch loop, evaluation, and attention-ranking export.
 
 Everything is deterministic given the config seed: parameter init, epoch
 shuffles and batching all derive from it, so reruns produce bit-identical
@@ -30,6 +30,7 @@ from .plots import attention_bars_svg
 log = logging.getLogger(__name__)
 
 STACK_BAGS = 32   # bags per stacked forward in evaluate and export_attention
+LOG_FLOOR = 1e-12  # the loss clamps probabilities here before taking the log
 
 
 @dataclass
@@ -75,42 +76,70 @@ class TrainConfig:
 
 
 def multi_task_loss(probs_per_task, labels, lambdas) -> ad.Tensor:
-    """Weighted sum over tasks of batch-mean cross entropy.
+    """Weighted sum over tasks of batch-mean cross entropy: the sum over k of
+    lambdas[k] / N times the sum over i of -log p_ik[label_ik].
 
-    probs_per_task[k] is a list of probability tensors, each one bag's
-    (1, C_k) row or a stack's (B, 1, C_k) rows, bags in batch order and cut
-    into the same runs for every task; labels is an (N, K) array of class
-    indices. The log is floored at 1e-12.
+    probs_per_task[k] is task k's list of probability tensors: each holds
+    one bag's (1, C_k) row or a stack's (B, 1, C_k) rows, bags in label
+    order, and every task's list is cut into the same runs of bags. labels
+    is an (N, K) array of class indices. Probabilities are clamped below at
+    LOG_FLOOR, where the log is flat and so passes back no gradient. Both
+    sums run in order. The loss's backward calls each run's shared backward
+    once, in bag order, with the run's K gradient arrays.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n_tasks = len(probs_per_task)
-    n = labels.shape[0]
-    if labels.ndim != 2 or labels.shape[1] != n_tasks:
+    if (labels.ndim != 2 or labels.shape[1] != n_tasks or not labels.size
+            or len(lambdas) != n_tasks):
         raise ContractError(
-            f"multi_task_loss: labels {labels.shape} vs {n_tasks} tasks"
+            f"multi_task_loss: labels {labels.shape} and {len(lambdas)} lambdas for "
+            f"{n_tasks} tasks; need (N >= 1, {n_tasks}) labels and {n_tasks} lambdas"
         )
-    runs = [[p.data.size // p.data.shape[-1] for p in task_probs]
-            for task_probs in probs_per_task]            # bags per tensor
-    for k, task_probs in enumerate(probs_per_task):
-        if sum(runs[k]) != n:
+    n = labels.shape[0]
+    counts = [[p.data.size // p.data.shape[-1] for p in task_probs]
+              for task_probs in probs_per_task]          # bags per tensor
+    for k, task_counts in enumerate(counts):
+        if sum(task_counts) != n:
             raise ContractError(
-                f"multi_task_loss: task {k} has {sum(runs[k])} prob rows "
+                f"multi_task_loss: task {k} has {sum(task_counts)} prob rows "
                 f"for {n} labels"
             )
-        if runs[k] != runs[0]:
+        if task_counts != counts[0]:
             raise ContractError(
-                f"multi_task_loss: task {k} cuts its bags into runs {runs[k]}, "
-                f"task 0 into {runs[0]}"
+                f"multi_task_loss: task {k} cuts its bags into runs {task_counts}, "
+                f"task 0 into {counts[0]}"
             )
-    n_classes = [task_probs[0].data.shape[-1] for task_probs in probs_per_task]
+    rows = [task[0].data.reshape(n, -1) if len(task) == 1 else   # a view, no copy
+            np.concatenate([p.data.reshape(-1, p.data.shape[-1]) for p in task])
+            for task in probs_per_task]                          # (N, C_k) each
     for row in labels.tolist():
-        for k, (label, count) in enumerate(zip(row, n_classes)):
-            if not 0 <= label < count:
+        for k, (label, task_rows) in enumerate(zip(row, rows)):
+            if not 0 <= label < task_rows.shape[1]:
                 raise ContractError(
                     f"multi_task_loss: label {label} out of range "
-                    f"[0, {count}) for task {k}"
+                    f"[0, {task_rows.shape[1]}) for task {k}"
                 )
-    return ad.weighted_nll(probs_per_task, labels, [lam / n for lam in lambdas])
+    bags = np.arange(n)
+    x = np.array([task_rows[bags, task_labels]
+                  for task_rows, task_labels in zip(rows, labels.T)])
+    clamped = np.maximum(x, LOG_FLOOR)                           # (K, N)
+    weights = np.array([lam / n for lam in lambdas], dtype=np.float64)
+    terms = np.cumsum(-np.log(clamped), axis=1)[:, -1]
+    total = np.cumsum(terms * weights)[-1]
+
+    def backward_fn(g):
+        grads = np.where(x > LOG_FLOOR, -(g * weights)[:, None] / clamped, 0.0)
+        g_rows = [np.zeros_like(task_rows) for task_rows in rows]
+        for g_task, task_labels, task_grads in zip(g_rows, labels.T, grads):
+            g_task[bags, task_labels] = task_grads
+        start = 0
+        for run, count in zip(zip(*probs_per_task), counts[0]):  # the K tensors of a run
+            run[0]._backward([g_task[start:start + count].reshape(p.data.shape)
+                              for g_task, p in zip(g_rows, run)])
+            start += count
+
+    trainable = all(p._backward for p in probs_per_task[0])
+    return ad.Tensor(total, backward_fn if trainable else None)
 
 
 class Adam:

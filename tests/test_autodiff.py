@@ -1,18 +1,15 @@
-"""Tensor and backward contracts, the array softmax and the loss, and the
-array operations the layers run inside their hand-written backwards:
-TestMatmul, TestElementwise and TestSupportOps check the products,
-elementwise maps, concatenation and transposes where patchbag.model runs
-them.
+"""Tensor and backward contracts, and the array operations the layers run
+inside their hand-written backwards: TestMatmul, TestElementwise and
+TestSupportOps check the products, elementwise maps, concatenation and
+transposes where patchbag.model runs them.
 """
-
-import math
 
 import numpy as np
 import pytest
 
 from patchbag import autodiff as ad
 from patchbag.autodiff import Tensor
-from patchbag.errors import ContractError, DimensionError, NumericError
+from patchbag.errors import ContractError, DimensionError
 from patchbag.model import (
     ModelDims,
     ModelParams,
@@ -21,10 +18,12 @@ from patchbag.model import (
     patch_transform,
     predict_tag,
     sdpa_transform,
+    softmax,
     tag_attention,
 )
+from patchbag.training import multi_task_loss
 
-from oracles import assert_grads_match, softmax_by_scalar
+from oracles import assert_grads_match
 
 SCHEMA = TagSchema(tasks=(("t", ("a", "b")),))
 
@@ -48,28 +47,6 @@ def add_into(t):
 def total(x, c=1.0):
     """c times the sum of x's elements, as a loss whose backward fills x.grad."""
     return weighed(x.data, np.full_like(x.data, c), add_into(x))
-
-
-def softmax_rows(logits):
-    """One bag's probability rows: the softmax of each of its logit leaves.
-
-    The rows share one backward, which adds each row's gradient back
-    through its softmax into its leaf.
-    """
-    ys = [ad.softmax(t.data, axis=1) for t in logits]
-
-    def backward(rows):
-        for t, y, g in zip(logits, ys, rows):
-            t.grad += ad.softmax_grad(y, g, axis=1)
-
-    return [Tensor(y, backward) for y in ys]
-
-
-def prob_row(values):
-    """A probability row that is its own leaf: its backward adds the
-    gradient at the row into its grad slot."""
-    t = leaf(values)
-    return Tensor(t.data, lambda rows: add_into(t)(rows[0]), t.grad)
 
 
 def transform_params(variant, heads, feature_dim, seed=0):
@@ -98,7 +75,7 @@ class TestMatmul:
     def test_identity(self):
         pooled = np.array([[1.0, -2.0, 0.5]])
         probs, _ = predict_tag(pooled, np.eye(3))
-        np.testing.assert_array_equal(probs, ad.softmax(pooled, axis=1))
+        np.testing.assert_array_equal(probs, softmax(pooled, axis=1))
 
     def test_zero(self):
         # an all-zero bag pools to the zero row whatever its gate
@@ -143,56 +120,10 @@ class TestMatmul:
             classifier = rng.normal(size=(d, c))
             np.testing.assert_allclose(
                 predict_tag(pooled, classifier)[0],
-                ad.softmax(alpha.T @ (Vp @ classifier), axis=1),
+                softmax(alpha.T @ (Vp @ classifier), axis=1),
                 atol=1e-10, rtol=1e-10)
             np.testing.assert_array_equal(predict_tag(pooled, np.eye(d))[0],
-                                          ad.softmax(pooled, axis=1))
-
-
-class TestSoftmax:
-    def test_equal_logits_give_uniform(self):
-        for c in (-7.0, 0.0, 3.5):
-            out = ad.softmax(np.full((4, 1), c), axis=0)
-            np.testing.assert_allclose(out, 0.25, rtol=0, atol=1e-15)
-
-    def test_single_element(self):
-        np.testing.assert_array_equal(ad.softmax(np.array([[4.2]]), axis=0), [[1.0]])
-
-    def test_closed_form_quarter_three_quarters(self):
-        out = ad.softmax(np.array([[0.0], [math.log(3.0)]]), axis=0)
-        np.testing.assert_allclose(out[:, 0], [0.25, 0.75], rtol=1e-12)
-
-    def test_matches_scalar_oracle(self):
-        rng = np.random.default_rng(2)
-        logits = rng.normal(size=6) * 3
-        out = ad.softmax(logits.reshape(-1, 1), axis=0)
-        np.testing.assert_allclose(out[:, 0], softmax_by_scalar(list(logits)),
-                                   rtol=1e-12)
-
-    def test_sums_to_one_and_shift_invariant(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            x = rng.normal(size=(rng.integers(1, 20), 1)) * 10
-            y = ad.softmax(x, axis=0)
-            assert abs(y.sum() - 1.0) <= 1e-12
-            np.testing.assert_allclose(y, ad.softmax(x + 123.456, axis=0), atol=1e-12)
-
-    def test_nan_input_raises(self):
-        with pytest.raises(NumericError):
-            ad.softmax(np.array([[1.0], [float("nan")]]), axis=0)
-
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(7)
-        x = leaf(rng.normal(size=(5, 3)))
-        w = rng.normal(size=(5, 3))
-        for axis in (0, 1):
-            x.grad[...] = 0.0
-
-            def loss():
-                y = ad.softmax(x.data, axis)
-                return weighed(y, w, lambda g: add_into(x)(ad.softmax_grad(y, g, axis)))
-
-            assert_grads_match(loss, [x], rel=1e-6)
+                                          softmax(pooled, axis=1))
 
 
 class TestElementwise:
@@ -331,12 +262,6 @@ class TestBackward:
         with pytest.raises(ContractError):
             ad.backward(loss)
 
-    def test_loss_without_trainable_input_rejected(self):
-        # probability rows without a backward: nothing trainable made them
-        loss = ad.weighted_nll([[Tensor([[0.5, 0.5]])]], np.array([[0]]), [1.0])
-        with pytest.raises(ContractError):
-            ad.backward(loss)
-
     def test_values_stay_finite_through_random_graphs(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
@@ -352,43 +277,8 @@ class TestBackward:
                 pool_backward(g_pooled, *grads[1:])
                 grads.append(g_pooled)
 
-            loss = ad.weighted_nll([[Tensor(probs, bag_backward)]], np.array([[2]]), [1.0])
+            loss = multi_task_loss([[Tensor(probs, bag_backward)]], [[2]], (1.0,))
             ad.backward(loss)
             assert len(grads) == 5
             for a in (Vp, *tag_gate, classifier, pooled, alpha, probs, loss.data, *grads):
                 assert np.all(np.isfinite(a))
-
-
-class TestWeightedNll:
-    def test_value_and_gradient_of_one_row(self):
-        p = prob_row([[0.25, 0.75]])
-        loss = ad.weighted_nll([[p]], np.array([[1]]), [2.0])
-        assert float(loss.data) == -2.0 * math.log(0.75)
-        ad.backward(loss)
-        np.testing.assert_array_equal(p.grad, [[0.0, -2.0 / 0.75]])
-
-    def test_floor_clamps_value_and_zeroes_gradient(self):
-        p = prob_row([[1e-20, 1.0]])
-        loss = ad.weighted_nll([[p]], np.array([[0]]), [1.0])
-        assert float(loss.data) == -math.log(1e-12)
-        ad.backward(loss)
-        np.testing.assert_array_equal(p.grad, [[0.0, 0.0]])
-
-    def test_two_tasks_batch_three_matches_finite_differences(self):
-        # task 0 weighs 1.3, task 1 weighs 0; bag 1's task-0 label gets a
-        # probability near e**-40, below the 1e-12 floor, where the loss is flat
-        rng = np.random.default_rng(37)
-        logits = [[leaf(rng.normal(size=(1, c))) for _ in range(3)] for c in (3, 4)]
-        labels = np.array([[0, 3], [2, 1], [1, 0]])
-        logits[0][1].data[0] = [0.0, 0.0, -40.0]
-        leaves = [t for task in logits for t in task]
-
-        def loss_builder():
-            bags = [softmax_rows([task[i] for task in logits]) for i in range(3)]
-            return ad.weighted_nll([list(task) for task in zip(*bags)], labels, [1.3, 0.0])
-
-        assert ad.softmax(logits[0][1].data, axis=1)[0, 2] < ad.LOG_FLOOR
-        assert_grads_match(loss_builder, leaves, rel=1e-6, abs_=1e-10)
-        for t in logits[1] + [logits[0][1]]:
-            np.testing.assert_array_equal(t.grad, np.zeros_like(t.data))
-        assert np.all(logits[0][0].grad != 0.0)

@@ -14,6 +14,7 @@ from patchbag.errors import (
     DimensionError,
     EmptyBagError,
     IntegrityError,
+    NumericError,
     ParseError,
     PatchbagError,
 )
@@ -30,6 +31,8 @@ from patchbag.model import (
     predict_tag,
     save_checkpoint,
     sdpa_transform,
+    softmax,
+    softmax_grad,
     tag_attention,
 )
 from patchbag.synth import PatchBag
@@ -89,6 +92,52 @@ class TestSchema:
     def test_rejects_names_the_text_formats_cannot_carry(self, tasks):
         with pytest.raises(ConfigError):
             TagSchema(tasks=tasks)
+
+
+class TestSoftmax:
+    def test_equal_logits_give_uniform(self):
+        for c in (-7.0, 0.0, 3.5):
+            out = softmax(np.full((4, 1), c), axis=0)
+            np.testing.assert_allclose(out, 0.25, rtol=0, atol=1e-15)
+
+    def test_single_element(self):
+        np.testing.assert_array_equal(softmax(np.array([[4.2]]), axis=0), [[1.0]])
+
+    def test_closed_form_quarter_three_quarters(self):
+        out = softmax(np.array([[0.0], [math.log(3.0)]]), axis=0)
+        np.testing.assert_allclose(out[:, 0], [0.25, 0.75], rtol=1e-12)
+
+    def test_matches_scalar_oracle(self):
+        rng = np.random.default_rng(2)
+        logits = rng.normal(size=6) * 3
+        out = softmax(logits.reshape(-1, 1), axis=0)
+        np.testing.assert_allclose(out[:, 0], softmax_by_scalar(list(logits)),
+                                   rtol=1e-12)
+
+    def test_sums_to_one_and_shift_invariant(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            x = rng.normal(size=(rng.integers(1, 20), 1)) * 10
+            y = softmax(x, axis=0)
+            assert abs(y.sum() - 1.0) <= 1e-12
+            np.testing.assert_allclose(y, softmax(x + 123.456, axis=0), atol=1e-12)
+
+    def test_nan_input_raises(self):
+        with pytest.raises(NumericError):
+            softmax(np.array([[1.0], [float("nan")]]), axis=0)
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(7)
+        x = leaf(rng.normal(size=(5, 3)))
+        w = rng.normal(size=(5, 3))
+        for axis in (0, 1):
+            x.grad[...] = 0.0
+
+            def loss():
+                y = softmax(x.data, axis)
+                return weighed(y, w, lambda g: add_into(x)(softmax_grad(y, g, axis)))
+
+            assert_grads_match(loss, [x], rel=1e-6)
 
 
 class TestHeadAttention:

@@ -296,6 +296,16 @@ class TestFeaturizer:
         with pytest.raises(SizeError):
             featurize([small, small], fparams)
 
+    @pytest.mark.parametrize("shapes", [[(224, 224, 3), (100, 100, 3)],
+                                        [(224, 224, 3), (224, 224)], []],
+                             ids=["mixed_sizes", "color_and_gray", "empty"])
+    def test_list_it_cannot_stack_rejected(self, shapes):
+        fparams = FeaturizerParams.initialize(seed=0)
+        patches = [PatchImage(np.zeros(shape, dtype=np.uint8), 0, 0) for shape in shapes]
+        with pytest.raises(SizeError) as err:
+            featurize(patches, fparams)
+        assert all(str(shape) in str(err.value) for shape in shapes)
+
 
 class TestImagePipeline:
     def make_tissue_image(self, seed=9):

@@ -1,14 +1,23 @@
 import csv
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from patchbag import training
-from patchbag.autodiff import Tensor
+from patchbag.autodiff import Tensor, backward
 from patchbag.errors import ConfigError, ContractError
 from patchbag.metrics import build_report
-from patchbag.model import ModelDims, ModelParams, TagSchema, predict_probs
+from patchbag.model import (
+    ModelDims,
+    ModelParams,
+    TagSchema,
+    predict_probs,
+    save_checkpoint,
+    softmax,
+    softmax_grad,
+)
 from patchbag.plots import attention_bars_svg
 from patchbag.synth import PatchBag, SynthConfig, generate, split
 from patchbag.training import (
@@ -21,7 +30,10 @@ from patchbag.training import (
     multi_task_loss,
     rank_patches,
     train,
+    write_history_csv,
 )
+
+from oracles import assert_grads_match
 
 SCHEMA = TagSchema(tasks=(("size", ("s", "m", "l")), ("tone", ("lo", "hi"))))
 
@@ -50,6 +62,34 @@ def stack_params(variant, heads):
 
 def as_prob_tensors(rows):
     return [Tensor(np.asarray(r, dtype=np.float64).reshape(1, -1)) for r in rows]
+
+
+def leaf(values):
+    """A trainable matrix outside any model: its data and a zeroed grad slot."""
+    data = np.array(values, dtype=np.float64)
+    return Tensor(data, grad=np.zeros_like(data))
+
+
+def prob_row(values):
+    """A probability row that is its own leaf: its backward adds the
+    gradient at the row into its grad slot."""
+    t = leaf(values)
+    return Tensor(t.data, lambda rows: np.add(t.grad, rows[0], out=t.grad), t.grad)
+
+
+def softmax_rows(logits):
+    """One bag's probability rows: the softmax of each of its logit leaves.
+
+    The rows share one backward, which adds each row's gradient back
+    through its softmax into its leaf.
+    """
+    ys = [softmax(t.data, axis=1) for t in logits]
+
+    def rows_backward(rows):
+        for t, y, g in zip(logits, ys, rows):
+            t.grad += softmax_grad(y, g, axis=1)
+
+    return [Tensor(y, rows_backward) for y in ys]
 
 
 class TestMultiTaskLoss:
@@ -93,6 +133,60 @@ class TestMultiTaskLoss:
         probs = [as_prob_tensors([[0.5, 0.5]])]
         with pytest.raises(ContractError):
             multi_task_loss(probs, [[2]], (1.0,))
+
+    def test_value_and_gradient_of_one_row(self):
+        p = prob_row([[0.25, 0.75]])
+        loss = multi_task_loss([[p]], np.array([[1]]), (2.0,))
+        assert float(loss.data) == -2.0 * math.log(0.75)
+        backward(loss)
+        np.testing.assert_array_equal(p.grad, [[0.0, -2.0 / 0.75]])
+
+    def test_floor_clamps_value_and_zeroes_gradient(self):
+        p = prob_row([[1e-20, 1.0]])
+        loss = multi_task_loss([[p]], np.array([[0]]), (1.0,))
+        assert float(loss.data) == -math.log(1e-12)
+        backward(loss)
+        np.testing.assert_array_equal(p.grad, [[0.0, 0.0]])
+
+    def test_two_tasks_batch_three_matches_finite_differences(self):
+        # task 0 weighs 1.3, task 1 weighs 0 (lambda / 3 bags); bag 1's task-0
+        # label gets a probability near e**-40, below the 1e-12 floor, where
+        # the loss is flat
+        rng = np.random.default_rng(37)
+        logits = [[leaf(rng.normal(size=(1, c))) for _ in range(3)] for c in (3, 4)]
+        labels = np.array([[0, 3], [2, 1], [1, 0]])
+        logits[0][1].data[0] = [0.0, 0.0, -40.0]
+        leaves = [t for task in logits for t in task]
+
+        def loss_builder():
+            bags = [softmax_rows([task[i] for task in logits]) for i in range(3)]
+            return multi_task_loss([list(task) for task in zip(*bags)], labels, (3.9, 0.0))
+
+        assert 3.9 / 3 == 1.3
+        assert softmax(logits[0][1].data, axis=1)[0, 2] < training.LOG_FLOOR
+        assert_grads_match(loss_builder, leaves, rel=1e-6, abs_=1e-10)
+        for t in logits[1] + [logits[0][1]]:
+            np.testing.assert_array_equal(t.grad, np.zeros_like(t.data))
+        assert np.all(logits[0][0].grad != 0.0)
+
+    def test_loss_without_trainable_input_rejected(self):
+        # probability rows without a backward: nothing trainable made them
+        loss = multi_task_loss([[Tensor([[0.5, 0.5]])]], np.array([[0]]), (1.0,))
+        with pytest.raises(ContractError):
+            backward(loss)
+
+    @pytest.mark.parametrize("n_lambdas", [1, 3])
+    def test_lambda_count_must_match_tasks(self, n_lambdas):
+        # one weight must not broadcast over both tasks
+        probs = [as_prob_tensors([[0.5, 0.5]]), as_prob_tensors([[0.2, 0.8]])]
+        with pytest.raises(ContractError) as err:
+            multi_task_loss(probs, [[1, 0]], (2.0,) * n_lambdas)
+        assert f"{n_lambdas} lambdas for 2 tasks" in str(err.value)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ContractError) as err:
+            multi_task_loss([[], []], np.zeros((0, 2), dtype=np.int64), (1.0, 1.0))
+        assert "labels (0, 2)" in str(err.value)
 
 
 class OneWeight:
@@ -190,6 +284,31 @@ class TestAdam:
 
 
 class TestTrain:
+    # sha256 of checkpoint.ckpt and history.csv of two short seeded runs,
+    # written before the loss moved out of patchbag.autodiff: gated 3-head at
+    # batch 1 with unequal lambdas, and gated 2-head at batch 8 on bags of
+    # mixed M, whose batches split into runs of equal shape
+    @pytest.mark.parametrize("bags,config,ckpt_digest,history_digest", [
+        (tiny_dataset, TrainConfig(epochs=2, batch_size=1, seed=5, heads=3, attn_hidden=4,
+                                   tag_hidden=4, lr=1e-3, lambdas=(1.3, 0.4)),
+         "c1de311bc3c8b6b04dc2e4d90056d85c14b2caa809df362de952d9d9d1f1785b",
+         "a9dabdd711ec2193266f09d883eee9a7bc3e00c154beedf3495ef1389ed59525"),
+        (lambda: mixed_bags(seed=2),
+         TrainConfig(epochs=2, batch_size=8, seed=6, heads=2, attn_hidden=4,
+                     tag_hidden=4, lr=1e-3),
+         "7b77001280647603a6b8938cdcc008a1e8cd6388ee9402f8ea40ec5bb2b8cd80",
+         "3a7a06f2772183a99f60bd65a577d8caa3925e93d5910df2f099c0898188ddd0"),
+    ], ids=["gated3_b1_lambdas", "gated2_b8_mixed"])
+    def test_trained_bytes_are_pinned(self, tmp_path, bags, config, ckpt_digest,
+                                      history_digest):
+        tr, val, _ = split(bags(), seed=1)
+        result = train(tr, val, SCHEMA, config)
+        save_checkpoint(result.params, tmp_path / "checkpoint.ckpt")
+        write_history_csv(result.history, SCHEMA, tmp_path / "history.csv")
+        for name, digest in (("checkpoint.ckpt", ckpt_digest),
+                             ("history.csv", history_digest)):
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
     def test_same_seed_gives_identical_history(self):
         bags = tiny_dataset()
         tr, val, _ = split(bags, seed=1)
