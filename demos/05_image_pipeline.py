@@ -39,13 +39,12 @@ mask = foreground_mask(gray, result.threshold)
 print(f"otsu threshold: {result.threshold} (degenerate={result.degenerate})")
 print(f"foreground fraction: {mask.mean():.2f}")
 
-patches = sample_patches(slide, mask, count=4, patch_size=256, seed=11)
-print("sampled windows:", [(p.y, p.x) for p in patches])
+windows, anchors = sample_patches(slide, mask, count=4, patch_size=256, seed=11)
+print("sampled windows:", windows.shape, "at", anchors.tolist())
 
-final = [augment(p, seed=i) for i, p in enumerate(patches)]
-print("augmented shapes:", {p.pixels.shape for p in final})
-print("one augmentation log:", final[0].ops_log)
+final = augment(windows, seeds=range(len(windows)))  # one seed per window
+print("augmented stack:", final.shape, final.dtype)
 
 fparams = FeaturizerParams.initialize(hidden_dim=32, out_dim=16, seed=2)
-features = featurize(final, fparams)  # a list runs as one stack
+features = featurize(final, fparams)
 print("bag features:", features.shape)

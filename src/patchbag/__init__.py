@@ -31,7 +31,6 @@ from .model import (
 from .preprocess import (
     FeaturizerParams,
     OtsuResult,
-    PatchImage,
     augment,
     featurize,
     foreground_mask,

@@ -3,10 +3,11 @@ fixed featurizer.
 
 Images come in as binary 8-bit PGM (grayscale) or PPM (color). Otsu's
 threshold on the grayscale histogram separates dark tissue from bright
-background; fixed-size windows are sampled from the foreground, augmented
-down to 224 x 224, and turned into feature vectors by a fixed, seeded
-two-layer affine+ReLU projection, run on (N, 224, 224[, 3]) stacks; each of
-the N rows has the bytes of its patch featurized alone. Nothing trains the
+background. Fixed-size windows are sampled from the foreground into one
+(N, side, side[, 3]) uint8 stack, augmented down to an (N, 224, 224[, 3])
+stack, and turned into feature vectors by a fixed, seeded two-layer
+linear+ReLU projection; each of the N rows has the bytes of its patch
+featurized alone. Nothing trains the
 featurizer: its weights are drawn from the seed and never updated.
 """
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    ContractError,
     DegenerateHistogramError,
     InsufficientForegroundError,
     ParseError,
@@ -158,18 +160,6 @@ def foreground_mask(gray, threshold: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PatchImage:
-    pixels: np.ndarray              # (side, side) or (side, side, 3) uint8
-    y: int
-    x: int
-    ops_log: tuple = ()
-
-    @property
-    def side(self) -> int:
-        return self.pixels.shape[0]
-
-
 def valid_anchors(mask, patch_size: int):
     """Top-left corners whose window is inside bounds and mostly foreground."""
     mask = np.asarray(mask, dtype=bool)
@@ -189,74 +179,47 @@ def valid_anchors(mask, patch_size: int):
 
 
 def sample_patches(image, mask, count: int, patch_size: int, seed):
-    """Uniformly sample `count` valid windows without replacement."""
+    """Uniformly sample `count` valid windows without replacement: their
+    (count, side, side[, 3]) stack and (count, 2) int64 top-left corners."""
     image = np.asarray(image)
     anchors = valid_anchors(mask, patch_size)
     if len(anchors) < count:
         raise InsufficientForegroundError(found=len(anchors), needed=count)
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(anchors), size=count, replace=False)
-    patches = []
-    for y, x in anchors[chosen]:
-        pixels = np.ascontiguousarray(image[y:y + patch_size, x:x + patch_size])
-        patches.append(PatchImage(pixels=pixels, y=int(y), x=int(x)))
-    return patches
+    anchors = anchors[rng.choice(len(anchors), size=count, replace=False)]
+    windows = np.empty((count, patch_size, patch_size) + image.shape[2:], dtype=image.dtype)
+    for window, (y, x) in zip(windows, anchors):
+        window[...] = image[y:y + patch_size, x:x + patch_size]
+    return windows, anchors
 
 
-@dataclass(frozen=True)
-class AugmentChoices:
-    crop_y: int
-    crop_x: int
-    flip_h: bool
-    flip_v: bool
-    quarter_turns: int
-
-
-def apply_augment(patch: PatchImage, choices: AugmentChoices) -> PatchImage:
-    """Crop to 224, flip horizontally/vertically, rotate by quarter turns."""
-    side = patch.side
-    if side < PATCH_SIDE:
-        raise SizeError(f"augment: patch side {side} < {PATCH_SIDE}")
-    if not (0 <= choices.crop_y <= side - PATCH_SIDE
-            and 0 <= choices.crop_x <= side - PATCH_SIDE):
-        raise SizeError(f"augment: crop offset {choices.crop_y},{choices.crop_x} "
-                        f"out of range for side {side}")
-    out = patch.pixels[choices.crop_y:choices.crop_y + PATCH_SIDE,
-                       choices.crop_x:choices.crop_x + PATCH_SIDE]
-    log = list(patch.ops_log)
-    log.append(f"crop:y={choices.crop_y},x={choices.crop_x}")
-    if choices.flip_h:
-        out = out[:, ::-1]
-    log.append(f"flip_h:{int(choices.flip_h)}")
-    if choices.flip_v:
-        out = out[::-1, :]
-    log.append(f"flip_v:{int(choices.flip_v)}")
-    k = choices.quarter_turns % 4
-    if k:
-        out = np.rot90(out, k=k, axes=(0, 1))
-    log.append(f"rot90:{k}")
-    return PatchImage(pixels=np.ascontiguousarray(out), y=patch.y, x=patch.x,
-                      ops_log=tuple(log))
-
-
-def augment(patch: PatchImage, seed) -> PatchImage:
-    """Seeded random crop + 50/50 flips + quarter-turn rotation."""
-    side = patch.side
-    if side < PATCH_SIDE:
-        raise SizeError(f"augment: patch side {side} < {PATCH_SIDE}")
-    rng = np.random.default_rng(seed)
-    choices = AugmentChoices(
-        crop_y=int(rng.integers(side - PATCH_SIDE + 1)),
-        crop_x=int(rng.integers(side - PATCH_SIDE + 1)),
-        flip_h=bool(rng.random() < 0.5),
-        flip_v=bool(rng.random() < 0.5),
-        quarter_turns=int(rng.integers(4)),
-    )
-    return apply_augment(patch, choices)
+def augment(windows, seeds):
+    """The (N, 224, 224[, 3]) stack of N square windows, each cropped to 224 at
+    random, flipped horizontally and vertically 50/50 and turned by 0-3 quarter
+    turns, all drawn in that order from its own seed (int or SeedSequence)."""
+    windows = np.asarray(windows)
+    shape = windows.shape
+    if (windows.ndim < 3 or shape[1] != shape[2] or shape[1] < PATCH_SIDE
+            or shape[3:] not in ((), (3,))):
+        raise SizeError(f"augment: need square windows of side >= {PATCH_SIDE}, got {shape}")
+    if len(seeds) != len(windows):
+        raise ContractError(f"augment: {len(seeds)} seeds for {len(windows)} windows")
+    span = shape[1] - PATCH_SIDE + 1
+    out = np.empty((len(windows), PATCH_SIDE, PATCH_SIDE) + shape[3:], dtype=windows.dtype)
+    for patch, window, seed in zip(out, windows, seeds):
+        rng = np.random.default_rng(seed)
+        y, x = rng.integers(span), rng.integers(span)
+        view = window[y:y + PATCH_SIDE, x:x + PATCH_SIDE]
+        if rng.random() < 0.5:
+            view = view[:, ::-1]
+        if rng.random() < 0.5:
+            view = view[::-1]
+        patch[...] = np.rot90(view, k=rng.integers(4))
+    return out
 
 
 # ---------------------------------------------------------------------------
-# featurizer: pooled pixels + channel stats -> two fixed affine+ReLU layers
+# featurizer: pooled pixels + channel stats -> two fixed linear+ReLU layers
 # ---------------------------------------------------------------------------
 
 STATS_LEN = 6
@@ -270,10 +233,8 @@ class FeaturizerParams:
     hidden_dim: int
     out_dim: int
     seed: int
-    w1: np.ndarray = field(repr=False, default=None)
-    b1: np.ndarray = field(repr=False, default=None)
-    w2: np.ndarray = field(repr=False, default=None)
-    b2: np.ndarray = field(repr=False, default=None)
+    w1: np.ndarray = field(repr=False)
+    w2: np.ndarray = field(repr=False)
 
     @classmethod
     def initialize(cls, hidden_dim: int = 128, out_dim: int = 64, seed: int = 0):
@@ -286,9 +247,7 @@ class FeaturizerParams:
         return cls(
             hidden_dim=hidden_dim, out_dim=out_dim, seed=seed,
             w1=mat(FEAT_INPUT_LEN, hidden_dim),
-            b1=np.zeros((1, hidden_dim)),
             w2=mat(hidden_dim, out_dim),
-            b2=np.zeros((1, out_dim)),
         )
 
 
@@ -297,8 +256,9 @@ def pooled_stats(pixels):
     uint8 stack. Each sum runs over one patch in one fixed order, so row bytes
     do not depend on N."""
     pixels = np.asarray(pixels)
-    if pixels.shape[1:3] != (PATCH_SIDE, PATCH_SIDE) or pixels.shape[3:] not in ((), (3,)):
-        raise SizeError(f"featurize: need {PATCH_SIDE}x{PATCH_SIDE} pixels, "
+    if (not len(pixels) or pixels.shape[1:3] != (PATCH_SIDE, PATCH_SIDE)
+            or pixels.shape[3:] not in ((), (3,))):
+        raise SizeError(f"featurize: need one or more {PATCH_SIDE}x{PATCH_SIDE} patches, "
                         f"got {pixels.shape}")
     n, color = len(pixels), pixels.ndim == 4
     gray = (to_grayscale(pixels) if color else pixels) / 255.0
@@ -317,26 +277,20 @@ def pooled_stats(pixels):
     return np.concatenate([pooled.reshape(n, POOL_LEN), *stats], axis=1)
 
 
-def featurize(patches, fparams: FeaturizerParams) -> np.ndarray:
-    """out_dim features of one patch, or (N, out_dim) of a list: a matmul per row."""
-    single = isinstance(patches, PatchImage)
-    pixels = [p.pixels for p in ([patches] if single else patches)]
-    shapes = sorted({p.shape for p in pixels})
-    if len(shapes) != 1:
-        raise SizeError(f"featurize: need one or more patches of one shape, got {shapes}")
-    h = pooled_stats(np.stack(pixels))[:, None, :] @ fparams.w1 + fparams.b1
+def featurize(pixels, fparams: FeaturizerParams) -> np.ndarray:
+    """(N, out_dim) features of an (N, 224, 224[, 3]) uint8 stack: a matmul per row."""
+    h = pooled_stats(pixels)[:, None, :] @ fparams.w1
     h = np.where(h > 0.0, h, 0.0)
-    y = h @ fparams.w2 + fparams.b2
-    y = np.where(y > 0.0, y, 0.0).reshape(len(pixels), fparams.out_dim)
-    return y[0] if single else y
+    y = h @ fparams.w2
+    return np.where(y > 0.0, y, 0.0).reshape(len(h), fparams.out_dim)
 
 
 def image_to_features(image, count: int, patch_size: int,
                       fparams: FeaturizerParams, seed):
     """Full pipeline for one raster: mask, sample, augment, featurize.
 
-    `seed` may be an int or a numpy SeedSequence. Returns
-    (features (count, out_dim) float64 array, patch list).
+    `seed` may be an int or a numpy SeedSequence. Returns the (count, out_dim)
+    float64 features and the (count, 224, 224[, 3]) augmented stack.
     """
     gray = to_grayscale(image)
     result = otsu_threshold(gray_histogram(gray))
@@ -346,9 +300,8 @@ def image_to_features(image, count: int, patch_size: int,
     mask = foreground_mask(gray, result.threshold)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     sample_ss, augment_ss = root.spawn(2)
-    patches = sample_patches(image, mask, count, patch_size, sample_ss)
-    final = [augment(patch, seed=stream)  # default_rng accepts SeedSequence
-             for patch, stream in zip(patches, augment_ss.spawn(count))]
+    windows, _ = sample_patches(image, mask, count, patch_size, sample_ss)
+    final = augment(windows, augment_ss.spawn(count))
     feats = [featurize(final[i:i + FEATURIZE_CHUNK], fparams)
              for i in range(0, count, FEATURIZE_CHUNK)]
     return np.concatenate(feats), final

@@ -98,7 +98,10 @@ def multi_task_loss(probs_per_task, labels, lambdas) -> ad.Tensor:
     n = labels.shape[0]
     counts = [[p.data.size // p.data.shape[-1] for p in task_probs]
               for task_probs in probs_per_task]          # bags per tensor
-    for k, task_counts in enumerate(counts):
+    for k, (task_probs, task_counts) in enumerate(zip(probs_per_task, counts)):
+        widths = sorted({p.data.shape[-1] for p in task_probs})
+        if len(widths) > 1:
+            raise ContractError(f"multi_task_loss: task {k} mixes class counts {widths}")
         if sum(task_counts) != n:
             raise ContractError(
                 f"multi_task_loss: task {k} has {sum(task_counts)} prob rows "

@@ -130,6 +130,25 @@ def anchors_by_window_sums(mask, patch_size):
             if 2 * int(mask[y:y + patch_size, x:x + patch_size].sum()) >= quota]
 
 
+
+def augment_by_slicing(window, seed, side=224):
+    """One window's augmented patch and its five choices (crop y, crop x,
+    horizontal flip, vertical flip, quarter turns), re-drawn from
+    default_rng(seed) and applied by plain slicing and one np.rot90 per turn."""
+    rng = np.random.default_rng(seed)
+    span = window.shape[0] - side + 1
+    choices = (int(rng.integers(span)), int(rng.integers(span)),
+               bool(rng.random() < 0.5), bool(rng.random() < 0.5), int(rng.integers(4)))
+    crop_y, crop_x, flip_h, flip_v, turns = choices
+    out = window[crop_y:crop_y + side, crop_x:crop_x + side]
+    if flip_h:
+        out = out[:, ::-1]
+    if flip_v:
+        out = out[::-1, :]
+    for _ in range(turns):
+        out = np.rot90(out)
+    return out, choices
+
 def nearest_prototype_labels(bag, trace_entry, prototypes, schema):
     """Classify a bag per task from its signal patches alone.
 

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from patchbag.errors import (
+    ContractError,
     DegenerateHistogramError,
     InsufficientForegroundError,
     ParseError,
     SizeError,
 )
 from patchbag.preprocess import (
-    AugmentChoices,
     FeaturizerParams,
-    PatchImage,
-    apply_augment,
     augment,
     featurize,
     foreground_mask,
@@ -28,7 +26,7 @@ from patchbag.preprocess import (
     write_pnm,
 )
 
-from oracles import anchors_by_window_sums, otsu_exhaustive_exact
+from oracles import anchors_by_window_sums, augment_by_slicing, otsu_exhaustive_exact
 
 
 def bimodal_histogram(rng, lo_center=60, hi_center=190, spread=18, n=4000):
@@ -126,11 +124,12 @@ class TestSampling:
         rng = np.random.default_rng(4)
         image = rng.integers(0, 256, size=(300, 280), dtype=np.uint8)
         mask = np.ones((300, 280), dtype=bool)
-        patches = sample_patches(image, mask, 1, 224, seed=0)
-        assert len(patches) == 1
-        p = patches[0]
-        assert p.pixels.shape == (224, 224)
-        assert 0 <= p.y <= 300 - 224 and 0 <= p.x <= 280 - 224
+        windows, anchors = sample_patches(image, mask, 1, 224, seed=0)
+        assert windows.shape == (1, 224, 224) and windows.dtype == np.uint8
+        assert anchors.shape == (1, 2) and anchors.dtype == np.int64
+        y, x = anchors[0]
+        assert 0 <= y <= 300 - 224 and 0 <= x <= 280 - 224
+        np.testing.assert_array_equal(windows[0], image[y:y + 224, x:x + 224])
 
     def test_all_background_reports_count(self):
         image = np.full((300, 300), 255, dtype=np.uint8)
@@ -143,9 +142,9 @@ class TestSampling:
         rng = np.random.default_rng(5)
         image = rng.integers(0, 256, size=(400, 400), dtype=np.uint8)
         mask = np.ones((400, 400), dtype=bool)
-        a = sample_patches(image, mask, 8, 224, seed=42)
-        b = sample_patches(image, mask, 8, 224, seed=42)
-        assert [(p.y, p.x) for p in a] == [(p.y, p.x) for p in b]
+        _, a = sample_patches(image, mask, 8, 224, seed=42)
+        _, b = sample_patches(image, mask, 8, 224, seed=42)
+        assert a.tolist() == b.tolist()
 
     def test_half_foreground_quota_enforced(self):
         # left half foreground: windows crossing the boundary need >= 50%
@@ -187,64 +186,77 @@ class TestValidAnchors:
 
 
 class TestAugment:
-    def make_patch(self, side=260, seed=6):
-        rng = np.random.default_rng(seed)
-        return PatchImage(
-            pixels=rng.integers(0, 256, size=(side, side, 3), dtype=np.uint8),
-            y=0, x=0,
-        )
+    SEEDS = range(64)     # their draws cover all 16 flip and quarter-turn choices
 
-    def test_identity_choices_give_center_crop(self):
-        patch = self.make_patch(side=260)
-        center = (260 - 224) // 2
-        out = apply_augment(patch, AugmentChoices(center, center, False, False, 0))
-        np.testing.assert_array_equal(
-            out.pixels, patch.pixels[center:center + 224, center:center + 224]
-        )
-        assert "crop:y=18,x=18" in out.ops_log
+    @staticmethod
+    def make_windows(side, color, n=64, seed=6):
+        rng = np.random.default_rng([seed, side, color])
+        shape = (n, side, side, 3) if color else (n, side, side)
+        return rng.integers(0, 256, size=shape, dtype=np.uint8)
 
-    def test_double_horizontal_flip_is_identity(self):
-        patch = self.make_patch(side=224)
-        flip = AugmentChoices(0, 0, True, False, 0)
-        twice = apply_augment(apply_augment(patch, flip), flip)
-        np.testing.assert_array_equal(twice.pixels, patch.pixels)
+    @staticmethod
+    def undo(patch, choices):
+        """The crop a patch came from: its quarter turns and flips reversed."""
+        _, _, flip_h, flip_v, turns = choices
+        back = np.rot90(patch, -turns)
+        back = back[::-1] if flip_v else back
+        return back[:, ::-1] if flip_h else back
 
-    def test_rotation_k_then_4_minus_k_recovers(self):
-        patch = self.make_patch(side=224)
-        for k in range(4):
-            once = apply_augment(patch, AugmentChoices(0, 0, False, False, k))
-            back = apply_augment(once, AugmentChoices(0, 0, False, False, 4 - k))
-            np.testing.assert_array_equal(back.pixels, patch.pixels)
+    @pytest.mark.parametrize("side", [224, 260, 300])
+    @pytest.mark.parametrize("color", [True, False], ids=["P6", "P5"])
+    def test_matches_the_slicing_oracle(self, color, side):
+        windows = self.make_windows(side, color)
+        out = augment(windows, self.SEEDS)
+        assert out.shape == (len(windows), 224, 224) + windows.shape[3:]
+        assert out.dtype == np.uint8 and out.flags.c_contiguous
+        drawn = set()
+        for patch, window, seed in zip(out, windows, self.SEEDS):
+            want, choices = augment_by_slicing(window, seed)
+            assert patch.tobytes() == np.ascontiguousarray(want).tobytes()
+            crop_y, crop_x = choices[:2]
+            crop = window[crop_y:crop_y + 224, crop_x:crop_x + 224]
+            np.testing.assert_array_equal(self.undo(patch, choices), crop)
+            drawn.add(choices[2:])
+        assert len(drawn) == 16
 
-    def test_output_always_224(self):
-        for seed in range(5):
-            out = augment(self.make_patch(side=300 + seed), seed=seed)
-            assert out.pixels.shape == (224, 224, 3)
-            assert len(out.ops_log) == 4
+    def test_identity_draw_gives_the_center_crop(self):
+        windows = self.make_windows(260, True, n=1)
+        seed = 5097       # draws crop (18, 18), no flip, no turn
+        assert augment_by_slicing(windows[0], seed)[1] == (18, 18, False, False, 0)
+        out = augment(windows, [seed])
+        np.testing.assert_array_equal(out[0], windows[0, 18:242, 18:242])
 
-    def test_small_input_rejected(self):
+    @pytest.mark.parametrize("shape", [(1, 200, 200, 3), (1, 300, 200, 3)],
+                             ids=["small", "not_square"])
+    def test_small_input_rejected(self, shape):
         with pytest.raises(SizeError):
-            augment(self.make_patch(side=200), seed=0)
+            augment(np.zeros(shape, dtype=np.uint8), [0])
+
+    def test_one_seed_per_window_required(self):
+        with pytest.raises(ContractError, match="1 seeds for 2 windows"):
+            augment(self.make_windows(224, False, n=2), [0])
 
 
 class TestFeaturizer:
     def test_output_length_is_configured_dim(self):
         fparams = FeaturizerParams.initialize(hidden_dim=16, out_dim=64, seed=0)
         rng = np.random.default_rng(7)
-        patch = PatchImage(rng.integers(0, 256, (224, 224, 3), dtype=np.uint8), 0, 0)
-        feat = featurize(patch, fparams)
-        assert feat.shape == (64,)
+        pixels = rng.integers(0, 256, (2, 224, 224, 3), dtype=np.uint8)
+        assert featurize(pixels, fparams).shape == (2, 64)
 
-    def test_zero_image_zero_biases_gives_zero_feature(self):
+    def test_zero_image_gives_zero_feature(self):
         fparams = FeaturizerParams.initialize(hidden_dim=8, out_dim=12, seed=0)
-        patch = PatchImage(np.zeros((224, 224, 3), dtype=np.uint8), 0, 0)
-        feat = featurize(patch, fparams)
-        np.testing.assert_array_equal(feat, np.zeros(12))
+        feat = featurize(np.zeros((1, 224, 224, 3), dtype=np.uint8), fparams)
+        np.testing.assert_array_equal(feat, np.zeros((1, 12)))
 
     def test_wrong_size_rejected(self):
         fparams = FeaturizerParams.initialize(seed=0)
         with pytest.raises(SizeError):
-            featurize(PatchImage(np.zeros((100, 100), dtype=np.uint8), 0, 0), fparams)
+            featurize(np.zeros((1, 100, 100), dtype=np.uint8), fparams)
+
+    def test_weights_are_required(self):
+        with pytest.raises(TypeError):
+            FeaturizerParams(8, 4, 0)
 
     def test_pooled_stats_shape_and_grayscale_path(self):
         gray = np.zeros((1, 224, 224), dtype=np.uint8)
@@ -256,8 +268,8 @@ class TestFeaturizer:
         rng = np.random.default_rng([seed, color])
         shape = (224, 224, 3) if color else (224, 224)
         # each patch its own brightness range, so the stats differ row to row
-        return [PatchImage(rng.integers(lo, lo + 96, shape, dtype=np.uint8), 0, 0)
-                for lo in rng.integers(0, 160, n)]
+        return np.stack([rng.integers(lo, lo + 96, shape, dtype=np.uint8)
+                         for lo in rng.integers(0, 160, n)])
 
     @pytest.mark.parametrize("color", [True, False], ids=["P6", "P5"])
     def test_stack_rows_equal_single_patches_bit_for_bit(self, color):
@@ -266,7 +278,7 @@ class TestFeaturizer:
         stacked = featurize(patches, fparams)
         assert stacked.shape == (len(patches), 64)
         for row, patch in zip(stacked, patches):
-            assert row.tobytes() == featurize(patch, fparams).tobytes()
+            assert row.tobytes() == featurize(patch[None], fparams).tobytes()
         for i in (0, 3, 8):
             part = featurize(patches[i:i + 3], fparams)
             assert part.tobytes() == stacked[i:i + 3].tobytes()
@@ -274,37 +286,21 @@ class TestFeaturizer:
     @pytest.mark.parametrize("color", [True, False], ids=["P6", "P5"])
     def test_stats_rows_equal_numpy_mean_and_std_per_patch(self, color):
         patches = self.random_patches(color, n=5)
-        rows = pooled_stats(np.stack([p.pixels for p in patches]))
+        rows = pooled_stats(patches)
         for row, patch in zip(rows, patches):
             if color:
-                chans = patch.pixels.astype(np.float64) / 255.0
+                chans = patch.astype(np.float64) / 255.0
                 want = np.concatenate([chans.mean(axis=(0, 1)), chans.std(axis=(0, 1))])
             else:
-                g = patch.pixels.astype(np.float64) / 255.0
+                g = patch.astype(np.float64) / 255.0
                 want = np.array([g.mean()] * 3 + [g.std()] * 3)
             assert row[-6:].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("shape", [(2, 100, 224, 3), (3, 224, 223), (224, 224),
-                                       (2, 224, 224, 4)])
+                                       (2, 224, 224, 4), (0, 224, 224, 3), (0, 224, 224)])
     def test_stack_of_the_wrong_shape_rejected(self, shape):
         with pytest.raises(SizeError):
             pooled_stats(np.zeros(shape, dtype=np.uint8))
-
-    def test_list_of_wrong_size_patches_rejected(self):
-        fparams = FeaturizerParams.initialize(seed=0)
-        small = PatchImage(np.zeros((100, 100, 3), dtype=np.uint8), 0, 0)
-        with pytest.raises(SizeError):
-            featurize([small, small], fparams)
-
-    @pytest.mark.parametrize("shapes", [[(224, 224, 3), (100, 100, 3)],
-                                        [(224, 224, 3), (224, 224)], []],
-                             ids=["mixed_sizes", "color_and_gray", "empty"])
-    def test_list_it_cannot_stack_rejected(self, shapes):
-        fparams = FeaturizerParams.initialize(seed=0)
-        patches = [PatchImage(np.zeros(shape, dtype=np.uint8), 0, 0) for shape in shapes]
-        with pytest.raises(SizeError) as err:
-            featurize(patches, fparams)
-        assert all(str(shape) in str(err.value) for shape in shapes)
 
 
 class TestImagePipeline:
@@ -317,13 +313,12 @@ class TestImagePipeline:
 
     def test_emits_requested_patch_count(self):
         fparams = FeaturizerParams.initialize(hidden_dim=8, out_dim=6, seed=0)
-        feats, patches = image_to_features(
+        feats, final = image_to_features(
             self.make_tissue_image(), count=4, patch_size=256, fparams=fparams,
             seed=3,
         )
         assert feats.shape == (4, 6)
-        assert len(patches) == 4
-        assert all(p.pixels.shape[:2] == (224, 224) for p in patches)
+        assert final.shape == (4, 224, 224, 3) and final.dtype == np.uint8
 
     @staticmethod
     def seeded_slide(seed, side, color):

@@ -129,6 +129,11 @@ class TestMultiTaskLoss:
         loss = multi_task_loss(probs, [[0]], (1.0,))
         assert float(loss.data) > 0.0
 
+    def test_task_with_two_class_counts_rejected_naming_both(self):
+        probs = [[prob_row([[0.2, 0.3, 0.5]]), prob_row([[0.4, 0.6]])]]
+        with pytest.raises(ContractError, match=r"task 0 mixes class counts \[2, 3\]"):
+            multi_task_loss(probs, [[0], [1]], (1.0,))
+
     def test_label_out_of_range_rejected(self):
         probs = [as_prob_tensors([[0.5, 0.5]])]
         with pytest.raises(ContractError):
