@@ -33,22 +33,10 @@ class MetricsReport:
     avg_micro_f1: float
 
     def to_dict(self):
-        return {
-            "tasks": [
-                {
-                    "task": t.task,
-                    "macro_f1": t.macro_f1,
-                    "micro_f1": t.micro_f1,
-                    "per_class_f1": list(t.per_class_f1),
-                    "confusion": [[float(v) for v in row] for row in t.confusion],
-                    "undefined_f1_classes": list(t.undefined_f1_classes),
-                    "absent_truth_classes": list(t.absent_truth_classes),
-                }
-                for t in self.tasks
-            ],
-            "avg_macro_f1": self.avg_macro_f1,
-            "avg_micro_f1": self.avg_micro_f1,
-        }
+        """Each task's fields in declaration order, the confusion as nested lists."""
+        tasks = [{**vars(t), "confusion": t.confusion.tolist()} for t in self.tasks]
+        return {"tasks": tasks, "avg_macro_f1": self.avg_macro_f1,
+                "avg_micro_f1": self.avg_micro_f1}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

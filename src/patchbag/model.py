@@ -22,7 +22,7 @@ at a time: each matrix's gradient is added into its view bag by bag.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,23 +95,13 @@ class TagSchema:
         return lines
 
 
-DEFAULT_SCHEMA = TagSchema(
-    tasks=(
-        ("stain", ("H&E", "IHC", "Special")),
-        (
-            "species",
-            ("Human", "Monkey", "Mouse", "Pig", "Rat", "Zebrafish"),
-        ),
-        (
-            "organ",
-            (
-                "Bone", "Brain", "Breast", "Cecum", "Colon", "Heart",
-                "Skin", "Skin_Dorsal", "Intestine", "Kidney", "Liver",
-                "Lung", "Pancreas", "Prostate", "Spleen", "Skin_Ventral",
-            ),
-        ),
-    )
-)
+DEFAULT_SCHEMA = TagSchema(tasks=(
+    ("stain", ("H&E", "IHC", "Special")),
+    ("species", ("Human", "Monkey", "Mouse", "Pig", "Rat", "Zebrafish")),
+    ("organ", ("Bone", "Brain", "Breast", "Cecum", "Colon", "Heart", "Skin",
+               "Skin_Dorsal", "Intestine", "Kidney", "Liver", "Lung", "Pancreas",
+               "Prostate", "Spleen", "Skin_Ventral")),
+))
 
 
 def header_int(path, text, where):
@@ -166,14 +156,29 @@ class ModelDims:
 class AttentionRecord:
     """Per-bag attention weights, for export and visualization.
 
-    head_weights is empty for the sdpa variant, whose per-head weights are
-    M x M matrices rather than one vector per head. The record of a stack
-    of B bags has the tuple of their ids and (B, M) weight arrays.
+    It keeps forward's (..., H, M, 1) head weights head_w, None for 0 heads
+    and for sdpa, whose per-head weights are M x M matrices, and the
+    (..., K, M, 1) task weights alpha. Each read of head_weights or
+    tag_weights arranges a fresh list of one (M,) copy per head or task; a
+    stack of B bags has the tuple of their ids and (B, M) copies.
     """
 
     bag_id: str
-    head_weights: list = field(default_factory=list)  # n_heads arrays of (M,)
-    tag_weights: list = field(default_factory=list)   # n_tasks arrays of (M,)
+    head_w: np.ndarray
+    alpha: np.ndarray
+
+    @property
+    def head_weights(self):
+        return [] if self.head_w is None else _copied_rows(self.head_w)
+
+    @property
+    def tag_weights(self):
+        return _copied_rows(self.alpha)
+
+
+def _copied_rows(weights):
+    """(..., N, M, 1) weights as a list of N copied (..., M) arrays."""
+    return list(np.moveaxis(weights[..., 0], -2, 0).copy())
 
 
 def _matrix_shapes(schema, dims, variant):
@@ -280,15 +285,15 @@ class ModelParams:
 
 def softmax(x, axis: int):
     """Numerically stable softmax of an array along one axis (max subtraction)."""
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericError("softmax: input contains NaN or Inf")
-    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = np.exp(x - np.maximum.reduce(x, axis=axis, keepdims=True))
+    return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 
 def softmax_grad(y, g, axis: int):
     """Gradient at the input of softmax output y, given the gradient g at y."""
-    return y * (g - np.sum(g * y, axis=axis, keepdims=True))
+    return y * (g - np.add.reduce(g * y, axis=axis, keepdims=True))
 
 
 def _T(x):
@@ -299,10 +304,17 @@ def _T(x):
 def _add(target, *terms, axis=0):
     """Add terms into target in order, slice by slice along the axis they have and
     target lacks (bags, 0, or tasks, -3): the float order of one bag or task at a time."""
-    extra = terms[0].ndim > target.ndim
-    for parts in zip(*(t.swapaxes(axis, 0) for t in terms)) if extra else [terms]:
+    if terms[0].ndim == target.ndim:
+        for term in terms:
+            target += term
+        return
+    # adds into a strided view (stacked heads or gates) cost 2.5x those into a copy
+    acc = target if target.flags.c_contiguous else target.copy()
+    for parts in zip(*(t.swapaxes(axis, 0) for t in terms)):
         for part in parts:
-            target += part
+            acc += part
+    if acc is not target:
+        target[...] = acc
 
 
 def _gate(name, V, gate_proj, gate_score):
@@ -340,7 +352,7 @@ def _residual_projection(V, outs, proj, head_grads):
     backward(g) adds the gradient at proj into its grad view and hands
     head_grads the gradient at outs.
     """
-    side_by_side = np.swapaxes(outs, -3, -2).reshape(*V.shape[:-1], -1)
+    side_by_side = outs.swapaxes(-3, -2).reshape(*V.shape[:-1], -1)
     pre = V + side_by_side @ proj.data
     mask = pre > 0.0
 
@@ -348,7 +360,7 @@ def _residual_projection(V, outs, proj, head_grads):
         g_pre = g * mask
         g_side = g_pre @ proj.data.T
         _add(proj.grad, _T(side_by_side) @ g_pre)
-        head_grads(np.swapaxes(g_side.reshape(*g.shape[:-1], outs.shape[-3], -1), -3, -2))
+        head_grads(g_side.reshape(*g.shape[:-1], outs.shape[-3], -1).swapaxes(-3, -2))
 
     return np.where(mask, pre, 0.0), backward
 
@@ -366,7 +378,7 @@ def patch_transform(V, params: ModelParams):
     weights, gate_backward = head_attention(V_h, gate_proj.data, gate_score.data)
 
     def head_grads(g_outs):
-        gate_backward(np.sum(g_outs * V_h, axis=-1, keepdims=True), None,
+        gate_backward(np.add.reduce(g_outs * V_h, axis=-1, keepdims=True), None,
                       gate_proj.grad, gate_score.grad)
 
     Vp, backward = _residual_projection(V, V_h * weights, params.proj, head_grads)
@@ -386,7 +398,7 @@ def sdpa_transform(V, params: ModelParams):
     query, key, value = (params.heads[name] for name in ("query", "key", "value"))
     V_h = V[..., None, :, :]
     q, k, v = (V_h @ w.data for w in (query, key, value))
-    kT = np.ascontiguousarray(np.swapaxes(k, -1, -2))
+    kT = np.ascontiguousarray(_T(k))
     scale = 1.0 / math.sqrt(q.shape[-1])        # every head is d_head wide
     attn = softmax((q @ kT) * scale, axis=-1)
 
@@ -415,7 +427,7 @@ def tag_attention(Vp, gate_proj, gate_score):
         before = () if g_Vp is None else (alpha @ g,)
         gate_backward(g_alpha, g_Vp, g_proj, g_score, before)
 
-    return np.swapaxes(alpha, -1, -2) @ Vp, alpha, backward
+    return _T(alpha) @ Vp, alpha, backward
 
 
 def predict_tag(pooled, classifier):
@@ -442,8 +454,9 @@ def forward(bag, params: ModelParams):
 
     `bag` is a PatchBag (or anything with .features and .bag_id). Returns
     (probs, record): one (1, n_classes_k) probability tensor per task, and
-    the attention weights. The K tensors share one backward, which adds the
-    bag's gradient into params.grad: tasks in order, then the transform.
+    the attention weights, arranged only if read. The K tensors share one
+    backward, which adds the bag's gradient into params.grad: tasks in
+    order, then the transform.
 
     A list of B bags of one (M, D) shape runs as one (B, M, D) stack: each
     tensor is (B, 1, n_classes_k) and holds in row i the bytes bag i gives
@@ -464,30 +477,29 @@ def forward(bag, params: ModelParams):
     if shape[1] != params.dims.feature_dim:
         raise DimensionError(f"forward: bag feature dim {shape[1]} != model "
                              f"feature_dim {params.dims.feature_dim}")
-    record = AttentionRecord(bag_id=bag_id)
-    Vp, transform_backward = feats, None
+    Vp, head_w, transform_backward = feats, None, None
     if params.dims.n_heads > 0 and params.variant == "gated":
         Vp, head_w, transform_backward = patch_transform(feats, params)
-        record.head_weights = list(np.moveaxis(head_w[..., 0], -2, 0).copy())
     elif params.dims.n_heads > 0:
         Vp, _, transform_backward = sdpa_transform(feats, params)
     gate_proj, gate_score = params.tag_gates
     pooled, alpha, pool_backward = tag_attention(Vp[..., None, :, :], gate_proj.data,
                                                  gate_score.data)
-    record.tag_weights = list(np.moveaxis(alpha[..., 0], -2, 0).copy())
     probs, task_backwards = zip(*(predict_tag(pooled[..., k, :, :], classifier.data)
                                   for k, classifier in enumerate(params.classifiers)))
 
     def backward(g_rows):
-        g_pooled = [task_backward(g, classifier.grad) for g, task_backward, classifier
-                    in zip(g_rows, task_backwards, params.classifiers)]
-        g_Vp = None if transform_backward is None else np.zeros_like(Vp)
-        pool_backward(np.stack(g_pooled, axis=-3), g_Vp, gate_proj.grad, gate_score.grad)
+        g_pooled = np.empty(pooled.shape)               # (..., K, 1, D)
+        for k, (g, task_backward, classifier) in enumerate(
+                zip(g_rows, task_backwards, params.classifiers)):
+            g_pooled[..., k, :, :] = task_backward(g, classifier.grad)
+        g_Vp = None if transform_backward is None else np.zeros(Vp.shape)
+        pool_backward(g_pooled, g_Vp, gate_proj.grad, gate_score.grad)
         if transform_backward is not None:
             transform_backward(g_Vp)
         params.has_grad = True
 
-    return [Tensor(p, backward) for p in probs], record
+    return [Tensor(p, backward) for p in probs], AttentionRecord(bag_id, head_w, alpha)
 
 
 def _stack(bags):

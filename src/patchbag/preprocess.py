@@ -292,6 +292,8 @@ def image_to_features(image, count: int, patch_size: int,
     `seed` may be an int or a numpy SeedSequence. Returns the (count, out_dim)
     float64 features and the (count, 224, 224[, 3]) augmented stack.
     """
+    if count < 1:
+        raise ContractError(f"image_to_features: count must be >= 1, got {count}")
     gray = to_grayscale(image)
     result = otsu_threshold(gray_histogram(gray))
     if result.degenerate:

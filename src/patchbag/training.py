@@ -11,7 +11,8 @@ which gives every bag the bytes it gets alone. A training step runs each
 run of consecutive equal-shape bags in its batch as one stacked `forward`
 and backward (a run of one stays one bag), whose backward adds parameter
 gradients bag by bag in batch order: the trained bytes are those of one
-bag at a time.
+bag at a time. Training never reads a forward's attention record, so it
+never arranges the weights; export takes the raw (B, K, M) task weights.
 """
 
 import logging
@@ -127,12 +128,12 @@ def multi_task_loss(probs_per_task, labels, lambdas) -> ad.Tensor:
                   for task_rows, task_labels in zip(rows, labels.T)])
     clamped = np.maximum(x, LOG_FLOOR)                           # (K, N)
     weights = np.array([lam / n for lam in lambdas], dtype=np.float64)
-    terms = np.cumsum(-np.log(clamped), axis=1)[:, -1]
-    total = np.cumsum(terms * weights)[-1]
+    terms = (-np.log(clamped)).cumsum(axis=1)[:, -1]
+    total = (terms * weights).cumsum()[-1]
 
     def backward_fn(g):
         grads = np.where(x > LOG_FLOOR, -(g * weights)[:, None] / clamped, 0.0)
-        g_rows = [np.zeros_like(task_rows) for task_rows in rows]
+        g_rows = [np.zeros(task_rows.shape) for task_rows in rows]
         for g_task, task_labels, task_grads in zip(g_rows, labels.T, grads):
             g_task[bags, task_labels] = task_grads
         start = 0
@@ -230,39 +231,34 @@ def train(train_bags, val_bags, schema: TagSchema, config: TrainConfig) -> Train
     if val_bags:
         _check_bags(val_bags, schema, "val")
 
-    feature_dim = train_bags[0].features.shape[1]
-    dims = ModelDims(
-        feature_dim=feature_dim,
-        attn_hidden=config.attn_hidden,
-        tag_hidden=config.tag_hidden,
-        n_heads=config.heads,
-    )
+    dims = ModelDims(feature_dim=train_bags[0].features.shape[1],
+                     attn_hidden=config.attn_hidden, tag_hidden=config.tag_hidden,
+                     n_heads=config.heads)
     params = ModelParams(schema, dims, config.variant, config.seed)
     lambdas = config.task_lambdas(schema.n_tasks)
     adam = Adam(params, lr=config.lr, beta1=config.beta1,
                 beta2=config.beta2, epsilon=config.epsilon)
-    shuffle_rng = np.random.default_rng(
-        np.random.SeedSequence(config.seed).spawn(1)[0]
-    )
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
 
     history = []
     best = params.copy()
     best_score = -1.0
     best_epoch = -1
     n = len(train_bags)
+    labels = np.array([b.labels for b in train_bags], dtype=np.int64)
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
         losses = []
         for start in range(0, n, config.batch_size):
-            batch = [train_bags[i] for i in order[start:start + config.batch_size]]
+            picked = order[start:start + config.batch_size]
+            batch = [train_bags[i] for i in picked]
             adam.zero_grad()
             per_task = [[] for _ in range(schema.n_tasks)]
-            labels = np.array([b.labels for b in batch], dtype=np.int64)
-            for run in _equal_shape_runs(batch):
+            for run in _equal_shape_runs(batch) if len(batch) > 1 else [batch]:
                 probs, _ = forward(run if len(run) > 1 else run[0], params)
                 for k, p in enumerate(probs):
                     per_task[k].append(p)
-            loss = multi_task_loss(per_task, labels, lambdas)
+            loss = multi_task_loss(per_task, labels[picked], lambdas)
             ad.backward(loss)
             adam.step()
             losses.append(float(loss.data))
@@ -360,7 +356,7 @@ def export_attention(params: ModelParams, bags, out_dir, svg: bool = False):
     task_names = params.schema.task_names
     written = [None] * len(bags)
     for chunk, _, record in _stacked_forwards(params, bags):
-        weights = np.stack(record.tag_weights, axis=1)          # (B, K, M)
+        weights = record.alpha[..., 0]                          # (B, K, M)
         order = rank_patches(weights)
         ranked = np.take_along_axis(weights, order, axis=-1)
         for i, bag_order, bag_ranked, bag_weights in zip(chunk, order.tolist(),

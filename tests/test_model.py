@@ -403,6 +403,94 @@ class TestForward:
         assert len(probs) == 2
 
 
+class TestAttentionRecord:
+    """The record keeps forward's raw arrays and arranges copies when read."""
+
+    @pytest.mark.parametrize("bags", [1, 3], ids=["bag", "stack"])
+    def test_each_read_is_a_fresh_copy(self, bags):
+        params = small_params(heads=2)
+        rng = np.random.default_rng(28)
+        batch = [random_bag(rng, 5, 6, bag_id=f"b{i}") for i in range(bags)]
+        _, record = forward(batch if bags > 1 else batch[0], params)
+        for name in ("head_weights", "tag_weights"):
+            first, second = getattr(record, name), getattr(record, name)
+            assert len(first) == 2
+            for a, b in zip(first, second, strict=True):
+                assert np.array_equal(a, b) and not np.shares_memory(a, b)
+                a[...] = -1.0
+            for b, c in zip(second, getattr(record, name), strict=True):
+                assert np.array_equal(b, c)
+
+    @pytest.mark.parametrize("variant,heads", [("gated", 3), ("sdpa", 2), ("gated", 0)])
+    def test_record_outlives_later_forwards_and_steps(self, variant, heads):
+        params = small_params(variant=variant, heads=heads)
+        rng = np.random.default_rng(29)
+        bag, other = (random_bag(rng, 6, 6, bag_id=name) for name in ("bag", "other"))
+        _, record = forward(bag, params)
+        want = record.head_weights + record.tag_weights
+        adam = Adam(params, lr=1e-1)
+        for _ in range(2):
+            adam.zero_grad()
+            probs, _ = forward(other, params)
+            ad.backward(multi_task_loss([[p] for p in probs], [other.labels], (1.0, 1.0)))
+            adam.step()
+        assert record.bag_id == "bag"
+        for got, w in zip(record.head_weights + record.tag_weights, want, strict=True):
+            assert np.array_equal(got, w)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestFiniteness:
+    """A NaN or Inf that forward meets raises NumericError, before any step."""
+
+    ARMS = [("gated", 3), ("gated", 1), ("gated", 0), ("sdpa", 4)]
+
+    @staticmethod
+    def planted_matrices(heads, variant):
+        head = {"gated": f"head{heads - 1}.gate_score", "sdpa": f"head{heads - 1}.query"}
+        return ([head[variant]] if heads else []) + ["tag1.gate_score", "tag0.classify"]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("variant,heads", ARMS)
+    def test_planted_parameter_raises(self, variant, heads, value):
+        params = small_params(variant=variant, heads=heads, feature_dim=8)
+        bag = random_bag(np.random.default_rng(30), 5, 8)
+        for name in self.planted_matrices(heads, variant):
+            planted = params.copy()
+            dict(planted.named_parameters())[name].data[0, 0] = value
+            assert not np.isfinite(planted.flat).all()
+            with pytest.raises(NumericError):
+                forward(bag, planted)
+            with pytest.raises(NumericError):
+                forward([bag, bag], planted)
+
+    @pytest.mark.parametrize("variant,heads", ARMS)
+    @pytest.mark.parametrize("where", ["features", "classifier"])
+    def test_step_that_meets_a_non_finite_value_leaves_params(self, variant, heads,
+                                                              where):
+        params = small_params(variant=variant, heads=heads, feature_dim=8)
+        rng = np.random.default_rng(31)
+        good, bad = random_bag(rng, 5, 8), random_bag(rng, 5, 8)
+        adam = Adam(params, lr=1e-2)
+
+        def step(bag):
+            adam.zero_grad()
+            probs, _ = forward(bag, params)
+            ad.backward(multi_task_loss([[p] for p in probs], [bag.labels], (1.0, 1.0)))
+            adam.step()
+
+        step(good)
+        if where == "features":
+            bad.features[2, 3] = np.nan
+        else:
+            params.classifiers[1].data[4, 0] = np.inf
+        before = params.flat.tobytes(), adam.m.tobytes(), adam.v.tobytes(), adam.t
+        with pytest.raises(NumericError):
+            step(bad)
+        assert (params.flat.tobytes(), adam.m.tobytes(), adam.v.tobytes(),
+                adam.t) == before
+
+
 class TestStackedForward:
     @pytest.mark.parametrize("variant,heads", [("gated", 3), ("gated", 1), ("gated", 0),
                                                ("sdpa", 2)])

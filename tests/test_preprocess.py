@@ -357,6 +357,13 @@ class TestImagePipeline:
             image_to_features(white, count=2, patch_size=224, fparams=fparams,
                               seed=0)
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_rejected_naming_it(self, count):
+        fparams = FeaturizerParams.initialize(hidden_dim=8, out_dim=6, seed=0)
+        with pytest.raises(ContractError, match=f"count must be >= 1, got {count}"):
+            image_to_features(self.make_tissue_image(), count=count, patch_size=256,
+                              fparams=fparams, seed=3)
+
 
 class TestGrayscale:
     def test_every_rgb_triple_matches_the_rounded_luma(self):
