@@ -12,6 +12,7 @@ import logging
 import math
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -304,6 +305,14 @@ def cmd_export_attention(args) -> int:
     return EXIT_OK
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def cmd_preprocess(args) -> int:
     cfg = resolve_config(args)
     section = cfg["preprocess"]
@@ -320,9 +329,8 @@ def cmd_preprocess(args) -> int:
     fparams = FeaturizerParams.initialize(hidden_dim=section["hidden_dim"],
                                           out_dim=section["feature_dim"],
                                           seed=cfg["seed"])
-    bags = []
-    streams = np.random.SeedSequence(cfg["seed"]).spawn(len(images))
-    for entry, stream in zip(images, streams):
+    jobs = []
+    for entry in images:
         path = _required(entry["path"], "preprocess.images.path")
         labels = []
         for name, classes in schema.tasks:
@@ -334,11 +342,26 @@ def cmd_preprocess(args) -> int:
                     "is missing or names no class"
                 )
             labels.append(index)
-        image = read_pnm(path)
-        feats, _ = image_to_features(image, count, section["patch_size"], fparams,
-                                     seed=stream)
+        jobs.append((path, tuple(labels)))
+
+    def bag(job, stream):
+        path, labels = job
+        feats, _ = image_to_features(read_pnm(path), count, section["patch_size"],
+                                     fparams, seed=stream)
         stem = os.path.splitext(os.path.basename(path))[0]
-        bags.append(PatchBag(bag_id=stem, features=feats, labels=tuple(labels)))
+        return PatchBag(bag_id=stem, features=feats, labels=labels)
+
+    # one image per CPU; each has its own stream, so bytes do not depend on
+    # the worker count, and map raises the first failure in config order. A
+    # lone worker runs here: a thread gets its own malloc arena, which keeps
+    # tens of MB it has freed and so raises the process's peak.
+    streams = np.random.SeedSequence(cfg["seed"]).spawn(len(jobs))
+    workers = min(len(jobs), _cpu_count())
+    if workers == 1:
+        bags = list(map(bag, jobs, streams))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            bags = list(pool.map(bag, jobs, streams))
     write_bags(bags, out, schema)
     print(f"preprocess: {len(bags)} image(s) x {count} patches -> {out}")
     return EXIT_OK

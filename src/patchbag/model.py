@@ -552,7 +552,17 @@ def _checkpoint_header(schema, dims, variant, seed) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _first_non_finite(params: ModelParams) -> str:
+    return next(name for name, t in params.named_parameters()
+                if not np.isfinite(t.data).all())
+
+
 def save_checkpoint(params: ModelParams, path) -> None:
+    """Writes the header and blob; non-finite parameters raise before the file
+    is opened."""
+    if not np.isfinite(params.flat).all():
+        raise NumericError(f"save_checkpoint: {path}: parameters hold NaN or Inf, "
+                           f"first in {_first_non_finite(params)}")
     with open(path, "wb") as fh:
         fh.write(_checkpoint_header(params.schema, params.dims, params.variant,
                                     params.seed)
@@ -594,4 +604,8 @@ def load_checkpoint(path) -> ModelParams:
     if len(raw) - end != size:
         raise IntegrityError(f"{path}: blob is {len(raw) - end} bytes, "
                              f"header declares {size}")
-    return ModelParams(schema, dims, variant, seed, np.frombuffer(raw, "<f8", offset=end))
+    params = ModelParams(schema, dims, variant, seed, np.frombuffer(raw, "<f8", offset=end))
+    if not np.isfinite(params.flat).all():
+        raise IntegrityError(f"{path}: blob holds NaN or Inf, first in "
+                             f"{_first_non_finite(params)}")
+    return params

@@ -12,6 +12,7 @@ featurizer: its weights are drawn from the seed and never updated.
 """
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,7 @@ PATCH_SIDE = 224          # final augmented patch side
 POOL_SIDE = 28            # featurizer average-pool grid
 LUMA = (0.299, 0.587, 0.114)
 FOREGROUND_QUOTA = 0.5    # window must be at least half foreground
+PIXEL_CHUNK = 1 << 18     # pixels per per-pixel pass: bounds its float64 and intp copies
 
 
 # ---------------------------------------------------------------------------
@@ -37,8 +39,12 @@ FOREGROUND_QUOTA = 0.5    # window must be at least half foreground
 
 
 def read_pnm(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    """The (H, W) or (H, W, 3) uint8 pixels of a binary 8-bit PGM or PPM: a
+    view into the one buffer the file is read into."""
+    with open(path, "rb") as fh:        # read in place: no second copy of the file
+        raw = bytearray(os.fstat(fh.fileno()).st_size)
+        del raw[fh.readinto(raw):]
+        raw += fh.read()                # whatever a growing file added
 
     pos = 0
 
@@ -57,7 +63,7 @@ def read_pnm(path):
             pos += 1
         if start == pos:
             raise ParseError(f"{path}: truncated header")
-        return raw[start:pos]
+        return bytes(raw[start:pos])
 
     def number(field):
         text = token()
@@ -74,15 +80,13 @@ def read_pnm(path):
     pos += 1  # single whitespace byte after maxval
     channels = 1 if magic == b"P5" else 3
     count = width * height * channels
-    data = raw[pos:pos + count]
-    if len(data) != count:
-        raise ParseError(f"{path}: pixel data truncated ({len(data)} of {count} bytes)")
-    if len(raw) > pos + count:
-        raise ParseError(f"{path}: {len(raw) - pos - count} bytes after the pixel data")
-    arr = np.frombuffer(data, dtype=np.uint8)
-    if channels == 1:
-        return arr.reshape(height, width).copy()
-    return arr.reshape(height, width, 3).copy()
+    found = max(len(raw) - pos, 0)
+    if found < count:
+        raise ParseError(f"{path}: pixel data truncated ({found} of {count} bytes)")
+    if found > count:
+        raise ParseError(f"{path}: {found - count} bytes after the pixel data")
+    arr = np.frombuffer(raw, dtype=np.uint8, count=count, offset=pos)
+    return arr.reshape((height, width) if channels == 1 else (height, width, 3))
 
 
 def write_pnm(path, image) -> None:
@@ -99,18 +103,27 @@ def write_pnm(path, image) -> None:
 
 
 def to_grayscale(image):
+    """Rounded luma of each pixel, PIXEL_CHUNK pixels at a time."""
     image = np.asarray(image)
     if image.ndim == 2:
         return image.astype(np.uint8)
-    luma = image[..., 0] * LUMA[0]
-    luma += image[..., 1] * LUMA[1]
-    luma += image[..., 2] * LUMA[2]           # at most 255.0: no clip needed
-    return np.rint(luma, out=luma).astype(np.uint8)
+    rgb = image.reshape(-1, image.shape[-1])
+    gray = np.empty(len(rgb), dtype=np.uint8)
+    for i in range(0, len(rgb), PIXEL_CHUNK):
+        chunk = rgb[i:i + PIXEL_CHUNK]
+        luma = chunk[:, 0] * LUMA[0]
+        luma += chunk[:, 1] * LUMA[1]
+        luma += chunk[:, 2] * LUMA[2]         # at most 255.0: no clip needed
+        gray[i:i + PIXEL_CHUNK] = np.rint(luma, out=luma)
+    return gray.reshape(image.shape[:-1])
 
 
 def gray_histogram(gray):
-    gray = np.asarray(gray, dtype=np.uint8)
-    return np.bincount(gray.ravel(), minlength=256).astype(np.int64)
+    gray = np.asarray(gray, dtype=np.uint8).ravel()
+    hist = np.zeros(256, dtype=np.int64)
+    for i in range(0, len(gray), PIXEL_CHUNK):
+        hist += np.bincount(gray[i:i + PIXEL_CHUNK], minlength=256)
+    return hist
 
 
 # ---------------------------------------------------------------------------
@@ -160,37 +173,60 @@ def foreground_mask(gray, threshold: int):
 # ---------------------------------------------------------------------------
 
 
-def valid_anchors(mask, patch_size: int):
-    """Top-left corners whose window is inside bounds and mostly foreground."""
+def window_mask(mask, patch_size: int):
+    """(H - side + 1, W - side + 1) bool: whether the window at each top-left
+    corner is mostly foreground. Built one row of corners at a time from the
+    column counts of a band of `side` mask rows slid down the mask."""
     mask = np.asarray(mask, dtype=bool)
     h, w = mask.shape
-    if h < patch_size or w < patch_size:
-        return np.empty((0, 2), dtype=np.int64)
-    # separable int32 running counts; wrapped totals still give exact windows
     p = patch_size
-    runs = np.zeros((h + 1, w), dtype=np.int32)
-    runs[1:] = mask
-    for i in range(1, h + 1):   # row by row: np.cumsum down axis 0 is ~10x slower
-        runs[i] += runs[i - 1]
-    cols = np.zeros((h - p + 1, w + 1), dtype=np.int32)
-    np.cumsum(runs[p:] - runs[:-p], axis=1, out=cols[:, 1:])
-    sums = cols[:, p:] - cols[:, :-p]
-    return np.argwhere(sums >= math.ceil(FOREGROUND_QUOTA * p * p))
+    ok = np.zeros((max(h - p + 1, 0), max(w - p + 1, 0)), dtype=bool)
+    if not ok.size:
+        return ok
+    quota = math.ceil(FOREGROUND_QUOTA * p * p)
+    band = mask[:p].sum(axis=0, dtype=np.int32)
+    runs = np.zeros(w + 1, dtype=np.int32)  # may wrap on wide masks; differences stay exact
+    for y in range(h - p + 1):
+        if y:
+            band += mask[y + p - 1]
+            band -= mask[y - 1]
+        np.cumsum(band, out=runs[1:])
+        np.greater_equal(runs[p:] - runs[:-p], quota, out=ok[y])
+    return ok
+
+
+def valid_anchors(mask, patch_size: int):
+    """Top-left corners whose window is inside bounds and mostly foreground."""
+    return np.argwhere(window_mask(mask, patch_size))
+
+
+def cut_windows(image, anchors, side: int):
+    """The (N, side, side[, 3]) stack of the windows at the N top-left corners."""
+    windows = np.empty((len(anchors), side, side) + image.shape[2:], dtype=image.dtype)
+    for window, (y, x) in zip(windows, anchors):
+        window[...] = image[y:y + side, x:x + side]
+    return windows
 
 
 def sample_patches(image, mask, count: int, patch_size: int, seed):
     """Uniformly sample `count` valid windows without replacement: their
-    (count, side, side[, 3]) stack and (count, 2) int64 top-left corners."""
-    image = np.asarray(image)
-    anchors = valid_anchors(mask, patch_size)
-    if len(anchors) < count:
-        raise InsufficientForegroundError(found=len(anchors), needed=count)
+    (count, side, side[, 3]) stack and (count, 2) int64 top-left corners.
+
+    The draw picks among the valid corners in row-major order, so only the
+    picked corners are located."""
+    ok = window_mask(mask, patch_size)
+    found = int(np.count_nonzero(ok))
+    if found < count:
+        raise InsufficientForegroundError(found=found, needed=count)
     rng = np.random.default_rng(seed)
-    anchors = anchors[rng.choice(len(anchors), size=count, replace=False)]
-    windows = np.empty((count, patch_size, patch_size) + image.shape[2:], dtype=image.dtype)
-    for window, (y, x) in zip(windows, anchors):
-        window[...] = image[y:y + patch_size, x:x + patch_size]
-    return windows, anchors
+    picks = rng.choice(found, size=count, replace=False)
+    # pick k: its row holds valid corners starts[y] <= k < starts[y + 1]
+    starts = np.zeros(len(ok) + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(ok, axis=1), out=starts[1:])
+    rows = np.searchsorted(starts, picks, side="right") - 1
+    anchors = np.array([(y, np.flatnonzero(ok[y])[k - starts[y]])
+                        for y, k in zip(rows, picks)], dtype=np.int64).reshape(count, 2)
+    return cut_windows(np.asarray(image), anchors, patch_size), anchors
 
 
 def augment(windows, seeds):
@@ -251,17 +287,23 @@ class FeaturizerParams:
         )
 
 
-def pooled_stats(pixels):
+def pooled_stats(pixels, gray=None):
     """(N, 790): 28x28 block-mean luma and channel mean/std of an (N, 224, 224[, 3])
     uint8 stack. Each sum runs over one patch in one fixed order, so row bytes
-    do not depend on N."""
+    do not depend on N. The stack's (N, 224, 224) `to_grayscale`, when the
+    caller has it, is passed as `gray` instead of being computed again."""
     pixels = np.asarray(pixels)
     if (not len(pixels) or pixels.shape[1:3] != (PATCH_SIDE, PATCH_SIDE)
             or pixels.shape[3:] not in ((), (3,))):
         raise SizeError(f"featurize: need one or more {PATCH_SIDE}x{PATCH_SIDE} patches, "
                         f"got {pixels.shape}")
     n, color = len(pixels), pixels.ndim == 4
-    gray = (to_grayscale(pixels) if color else pixels) / 255.0
+    if gray is None:
+        gray = to_grayscale(pixels) if color else pixels
+    elif np.shape(gray) != pixels.shape[:3]:
+        raise SizeError(f"featurize: gray stack {np.shape(gray)} does not match "
+                        f"the patches {pixels.shape}")
+    gray = np.asarray(gray) / 255.0
     block = PATCH_SIDE // POOL_SIDE
     pooled = gray.reshape(n, POOL_SIDE, block, POOL_SIDE, block).mean(axis=(2, 4))
     if color:   # pixel-major: one sequential chain per (patch, channel) column
@@ -277,9 +319,10 @@ def pooled_stats(pixels):
     return np.concatenate([pooled.reshape(n, POOL_LEN), *stats], axis=1)
 
 
-def featurize(pixels, fparams: FeaturizerParams) -> np.ndarray:
-    """(N, out_dim) features of an (N, 224, 224[, 3]) uint8 stack: a matmul per row."""
-    h = pooled_stats(pixels)[:, None, :] @ fparams.w1
+def featurize(pixels, fparams: FeaturizerParams, gray=None) -> np.ndarray:
+    """(N, out_dim) features of an (N, 224, 224[, 3]) uint8 stack: a matmul per row.
+    `gray` is as in `pooled_stats`."""
+    h = pooled_stats(pixels, gray)[:, None, :] @ fparams.w1
     h = np.where(h > 0.0, h, 0.0)
     y = h @ fparams.w2
     return np.where(y > 0.0, y, 0.0).reshape(len(h), fparams.out_dim)
@@ -290,10 +333,14 @@ def image_to_features(image, count: int, patch_size: int,
     """Full pipeline for one raster: mask, sample, augment, featurize.
 
     `seed` may be an int or a numpy SeedSequence. Returns the (count, out_dim)
-    float64 features and the (count, 224, 224[, 3]) augmented stack.
+    float64 features and the (count, 224, 224[, 3]) augmented stack. A color
+    slide's gray windows are cut from its gray and augmented by the same draws
+    as the color ones, so no patch is grayed a second time. Each stack is
+    dropped once the next one is made.
     """
     if count < 1:
         raise ContractError(f"image_to_features: count must be >= 1, got {count}")
+    image = np.asarray(image)
     gray = to_grayscale(image)
     result = otsu_threshold(gray_histogram(gray))
     if result.degenerate:
@@ -302,8 +349,15 @@ def image_to_features(image, count: int, patch_size: int,
     mask = foreground_mask(gray, result.threshold)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     sample_ss, augment_ss = root.spawn(2)
-    windows, _ = sample_patches(image, mask, count, patch_size, sample_ss)
-    final = augment(windows, augment_ss.spawn(count))
-    feats = [featurize(final[i:i + FEATURIZE_CHUNK], fparams)
+    windows, anchors = sample_patches(image, mask, count, patch_size, sample_ss)
+    del mask
+    seeds = augment_ss.spawn(count)
+    final = augment(windows, seeds)
+    del windows
+    final_gray = (augment(cut_windows(gray, anchors, patch_size), seeds)
+                  if image.ndim == 3 else final)
+    del gray
+    feats = [featurize(final[i:i + FEATURIZE_CHUNK], fparams,
+                       final_gray[i:i + FEATURIZE_CHUNK])
              for i in range(0, count, FEATURIZE_CHUNK)]
     return np.concatenate(feats), final

@@ -15,7 +15,7 @@ from patchbag.model import (
     TagSchema,
     save_checkpoint,
 )
-from patchbag.preprocess import write_pnm
+from patchbag.preprocess import FeaturizerParams, image_to_features, read_pnm, write_pnm
 from patchbag.synth import SynthConfig, generate
 
 
@@ -312,6 +312,79 @@ class TestPreprocessCommand:
             assert cli.main(["preprocess", "--config", cfg, "--seed", "9",
                              "--out", str(tmp_path / out)]) == 0
         assert read_dir_bytes(tmp_path / "p1") == read_dir_bytes(tmp_path / "p2")
+
+
+    @staticmethod
+    def mixed_slides(tmp_path, n):
+        """n slides that alternate P6 and P5 and mix two sizes."""
+        paths = []
+        for i in range(n):
+            rng = np.random.default_rng([12, i])
+            side, color = (300 if i % 3 == 1 else 420), i % 2 == 0
+            shape = (side, side, 3) if color else (side, side)
+            img = rng.integers(235, 256, size=shape, dtype=np.uint8)
+            lo, hi = side // 7, side - side // 7
+            img[lo:hi, lo:hi] = rng.integers(30, 110, size=(hi - lo, hi - lo) + shape[2:],
+                                             dtype=np.uint8)
+            paths.append(tmp_path / f"slide{i}.{'ppm' if color else 'pgm'}")
+            write_pnm(paths[-1], img)
+        return paths
+
+    def images_config(self, tmp_path, paths, labels=None):
+        labels = labels or [{"color": "red", "shape": 1}] * len(paths)
+        cfg = json.loads(Path(self.preprocess_config(tmp_path, "")).read_text())
+        cfg["preprocess"]["images"] = [{"path": str(p), "labels": lab}
+                                       for p, lab in zip(paths, labels)]
+        return write_config(tmp_path, cfg, name="prep.json")
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_bags_equal_per_image_features_in_config_order(self, tmp_path, monkeypatch,
+                                                           n, cpus):
+        # more images than workers: the bytes of each bag must not depend on
+        # the worker count, on which worker ran it, or when
+        monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+        paths = self.mixed_slides(tmp_path, n)
+        out = tmp_path / "bags"
+        assert cli.main(["preprocess", "--config", self.images_config(tmp_path, paths),
+                         "--seed", "6", "--out", str(out)]) == 0
+        fparams = FeaturizerParams.initialize(hidden_dim=8, out_dim=6, seed=6)
+        streams = np.random.SeedSequence(6).spawn(n)
+        want = b"".join(
+            image_to_features(read_pnm(p), 3, 256, fparams, seed=s)[0].astype("<f8").tobytes()
+            for p, s in zip(paths, streams))
+        assert (out / "features.bin").read_bytes() == want
+        assert [b.bag_id for b in read_bags(out)[0]] == [p.stem for p in paths]
+
+    @pytest.mark.parametrize("order,text", [
+        (("white.ppm", "bad.ppm"), "only 0 valid foreground"),
+        (("bad.ppm", "white.ppm"), "bad.ppm: unsupported magic"),
+    ], ids=["no-foreground-first", "bad-magic-first"])
+    def test_first_failure_in_config_order_is_reported(self, tmp_path, capsys,
+                                                       monkeypatch, order, text):
+        # the two failing images run side by side; the bad header fails at
+        # once, the large white slide only after its gray and histogram
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+        write_pnm(tmp_path / "white.ppm", np.full((1500, 1500, 3), 255, dtype=np.uint8))
+        (tmp_path / "bad.ppm").write_bytes(b"P3\n4 4\n255\n")
+        paths = [tmp_path / name for name in order] + [self.make_slide(tmp_path)]
+        assert cli.main(["preprocess", "--config", self.images_config(tmp_path, paths),
+                         "--out", str(tmp_path / "bags")]) == 4
+        err = capsys.readouterr().err
+        assert text in err and err.count("error:") == 1
+
+    def test_bad_label_is_reported_before_any_pixels_are_read(self, tmp_path, capsys):
+        # every entry is checked before the first image is read, so a bad
+        # label on the last entry wins over a malformed first image
+        paths = [tmp_path / "bad.ppm", self.make_slide(tmp_path)]
+        paths[0].write_bytes(b"P3\n4 4\n255\n")
+        labels = [{"color": "red", "shape": 1}, {"color": "green", "shape": 1}]
+        code = cli.main(["preprocess", "--config",
+                         self.images_config(tmp_path, paths, labels),
+                         "--out", str(tmp_path / "bags")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'green'" in err and "bad.ppm" not in err
 
 
 class TestExitCodes:

@@ -856,6 +856,33 @@ class TestCheckpoint:
         with pytest.raises(IntegrityError):
             load_checkpoint(path)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_parameters_never_reach_disk(self, tmp_path):
+        # an Inf in a head's gate_proj: tanh saturates, so no softmax input
+        # turns non-finite and three batch-1 steps train on without a raise
+        params = small_params(variant="gated", heads=3, feature_dim=8)
+        dict(params.named_parameters())["head1.gate_proj"].data[0, 0] = np.inf
+        rng = np.random.default_rng(32)
+        adam = Adam(params, lr=1e-3)
+        for _ in range(3):
+            bag = random_bag(rng, 5, 8)
+            adam.zero_grad()
+            probs, _ = forward(bag, params)
+            ad.backward(multi_task_loss([[p] for p in probs], [bag.labels], (1.0, 1.0)))
+            adam.step()
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(NumericError, match="first in head1.gate_proj"):
+            save_checkpoint(params, path)
+        assert not path.exists()
+
+        save_checkpoint(small_params(variant="gated", heads=3, feature_dim=8), path)
+        raw = bytearray(path.read_bytes())
+        for value in (np.nan, np.inf):
+            raw[-8:] = np.array([value], dtype="<f8").tobytes()
+            path.write_bytes(bytes(raw))
+            with pytest.raises(IntegrityError, match="NaN or Inf"):
+                load_checkpoint(path)
+
     def test_garbage_header_detected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         path.write_bytes(b"not a checkpoint\nend\n")

@@ -11,6 +11,7 @@ from patchbag.errors import (
     SizeError,
 )
 from patchbag.preprocess import (
+    PIXEL_CHUNK,
     FeaturizerParams,
     augment,
     featurize,
@@ -145,6 +146,21 @@ class TestSampling:
         _, a = sample_patches(image, mask, 8, 224, seed=42)
         _, b = sample_patches(image, mask, 8, 224, seed=42)
         assert a.tolist() == b.tolist()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_picks_are_the_drawn_rows_of_every_valid_anchor(self, seed):
+        # only the picked corners are located; they must be the rows the same
+        # draw takes from the full row-major list, empty corner rows included
+        rng = np.random.default_rng([62, seed])
+        mask = rng.random((40, 50)) < 0.55
+        mask[:12] = False
+        image = rng.integers(0, 256, size=(40, 50, 3), dtype=np.uint8)
+        windows, anchors = sample_patches(image, mask, 6, 8, seed=seed)
+        every = valid_anchors(mask, 8)
+        want = every[np.random.default_rng(seed).choice(len(every), size=6, replace=False)]
+        assert anchors.tolist() == want.tolist()
+        for window, (y, x) in zip(windows, anchors):
+            assert window.tobytes() == image[y:y + 8, x:x + 8].tobytes()
 
     def test_half_foreground_quota_enforced(self):
         # left half foreground: windows crossing the boundary need >= 50%
@@ -296,6 +312,13 @@ class TestFeaturizer:
                 want = np.array([g.mean()] * 3 + [g.std()] * 3)
             assert row[-6:].tobytes() == want.tobytes()
 
+    def test_given_gray_stack_gives_the_same_bytes(self):
+        patches = self.random_patches(True, n=3)
+        given = pooled_stats(patches, to_grayscale(patches))
+        assert given.tobytes() == pooled_stats(patches).tobytes()
+        with pytest.raises(SizeError, match="gray stack"):
+            pooled_stats(patches, to_grayscale(patches[:2]))
+
     @pytest.mark.parametrize("shape", [(2, 100, 224, 3), (3, 224, 223), (224, 224),
                                        (2, 224, 224, 4), (0, 224, 224, 3), (0, 224, 224)])
     def test_stack_of_the_wrong_shape_rejected(self, shape):
@@ -375,6 +398,20 @@ class TestGrayscale:
             rgb[..., 0] = red
             want = np.clip(np.rint(0.299 * red + 0.587 * green + 0.114 * blue), 0, 255)
             assert np.array_equal(to_grayscale(rgb), want.astype(np.uint8)), red
+
+    def test_chunked_passes_equal_whole_image_arithmetic(self):
+        # more pixels than one chunk, and a partial last chunk
+        rng = np.random.default_rng(63)
+        rgb = rng.integers(0, 256, size=(601, 900, 3), dtype=np.uint8)
+        assert rgb.shape[0] * rgb.shape[1] > 2 * PIXEL_CHUNK
+        luma = rgb[..., 0] * 0.299
+        luma += rgb[..., 1] * 0.587
+        luma += rgb[..., 2] * 0.114
+        gray = to_grayscale(rgb)
+        assert gray.tobytes() == np.rint(luma).astype(np.uint8).tobytes()
+        hist = gray_histogram(gray)
+        assert hist.dtype == np.int64
+        assert hist.tolist() == np.bincount(gray.ravel(), minlength=256).tolist()
 
     def test_gray_input_passes_through(self):
         gray = np.arange(256, dtype=np.uint8).reshape(16, 16)

@@ -8,8 +8,10 @@ and the bag and slide makers from its bench/inputs.py. From one seed it
 runs `synth` (with and without a train/val/test split), writes a bag set of
 mixed patch counts, trains each arm in ARMS for 2 epochs, runs `eval` and
 `export-attention --svg` of every checkpoint on the test split and on the
-mixed set, and runs `preprocess` on a color and a gray slide, 13 patches
-each (a full featurizer chunk of 8 and a partial one). It prints the
+mixed set, and runs `preprocess` on three slides, 13 patches each (a full
+featurizer chunk of 8 and a partial one): a color and a gray one of one
+size and a color one of another. Three images are more than a 2-CPU
+machine runs at once, so one worker takes a second image. It prints the
 OpenBLAS core name, then one `path sha256` line per output file, sorted by
 path. Trained bytes depend on the BLAS kernel, so two lists compare only
 when their core names match: run it on two checkouts on one machine and
@@ -86,9 +88,11 @@ def produce(work, seed):
             run_cli(["eval", *infer, "--out", os.path.join(arm_dir, f"eval_{name}")])
             run_cli(["export-attention", *infer, "--svg",
                      "--out", os.path.join(arm_dir, f"export_{name}")])
-    rgb, _ = make_slide(512, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    rgb, _ = make_slide(512, rng)
     slides = [(os.path.join(work, "color.ppm"), rgb),
-              (os.path.join(work, "gray.pgm"), luma(rgb))]
+              (os.path.join(work, "gray.pgm"), luma(rgb)),
+              (os.path.join(work, "color640.ppm"), make_slide(640, rng)[0])]
     for path, pixels in slides:
         write_pnm(path, pixels)
     config = os.path.join(work, "preprocess.json")
