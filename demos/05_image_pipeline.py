@@ -1,5 +1,6 @@
 """The raw-image path: synthesize a slide-like PPM, mask the background with
-Otsu's threshold, sample foreground windows, augment, featurize.
+Otsu's threshold, sample foreground window corners, cut and augment a patch
+in each window, featurize.
 
 Run:  python demos/05_image_pipeline.py
 """
@@ -39,10 +40,11 @@ mask = foreground_mask(gray, result.threshold)
 print(f"otsu threshold: {result.threshold} (degenerate={result.degenerate})")
 print(f"foreground fraction: {mask.mean():.2f}")
 
-windows, anchors = sample_patches(slide, mask, count=4, patch_size=256, seed=11)
-print("sampled windows:", windows.shape, "at", anchors.tolist())
+anchors = sample_patches(mask, count=4, patch_size=256, seed=11)
+print("top-left corners of the 256x256 windows:", anchors.tolist())
 
-final = augment(windows, seeds=range(len(windows)))  # one seed per window
+# one seed per window; each 224x224 patch is cut straight from the slide
+final = augment(slide, anchors, 256, seeds=range(len(anchors)))
 print("augmented stack:", final.shape, final.dtype)
 
 fparams = FeaturizerParams.initialize(hidden_dim=32, out_dim=16, seed=2)

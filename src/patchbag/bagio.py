@@ -31,11 +31,17 @@ MANIFEST_NAME = "manifest"
 _ID_RULE = "must be non-empty and hold only letters, digits, '-', '_' and '.'"
 
 
-def _id_is_file_name(bag_id) -> bool:
-    """Manifests store ids as whitespace-split tokens, and export-attention
-    writes one file per id, named after it unchanged."""
-    return (isinstance(bag_id, str) and bag_id != ""
-            and all(c.isalnum() or c in "-_." for c in bag_id))
+def claim_bag_id(bag_id, seen, error, where) -> None:
+    """Add `bag_id` to the set `seen`, or raise `error` naming `where` when it
+    breaks the id rule or is in `seen` already. Manifests store ids as
+    whitespace-split tokens, and export-attention writes one file per id,
+    named after it unchanged."""
+    if not (isinstance(bag_id, str) and bag_id != ""
+            and all(c.isalnum() or c in "-_." for c in bag_id)):
+        raise error(f"{where}: bag id {bag_id!r} {_ID_RULE}")
+    if bag_id in seen:
+        raise error(f"{where}: duplicate bag id {bag_id!r}")
+    seen.add(bag_id)
 
 
 def write_bags(dataset, directory, schema: TagSchema) -> None:
@@ -55,11 +61,7 @@ def write_bags(dataset, directory, schema: TagSchema) -> None:
     chunks = []
     seen = set()
     for bag in dataset:
-        if not _id_is_file_name(bag.bag_id):
-            raise ConfigError(f"write_bags: bag id {bag.bag_id!r} {_ID_RULE}")
-        if bag.bag_id in seen:
-            raise ConfigError(f"write_bags: duplicate bag id {bag.bag_id!r}")
-        seen.add(bag.bag_id)
+        claim_bag_id(bag.bag_id, seen, ConfigError, "write_bags")
         if bag.features.shape[1] != feature_dim:
             raise SchemaMismatchError(
                 f"write_bags: bag {bag.bag_id!r} has feature dim "
@@ -133,11 +135,7 @@ def read_bags(directory):
                 f"{', '.join(schema.task_names)}, in order, none missing or repeated"
             )
         bag_id = toks[1]
-        if not _id_is_file_name(bag_id):
-            raise ParseError(f"{path}: bag id {bag_id!r} {_ID_RULE}")
-        if bag_id in ids:
-            raise ParseError(f"{path}: duplicate bag id {bag_id!r}")
-        ids.add(bag_id)
+        claim_bag_id(bag_id, ids, ParseError, path)
         n_patches, bag_offset, *labels = (
             _field(path, bag_id, key, tok) for key, tok in zip(keys, toks[2:]))
         if n_patches < 1:

@@ -17,7 +17,7 @@ from dataclasses import MISSING, fields
 
 import numpy as np
 
-from .bagio import read_bags, write_bags
+from .bagio import claim_bag_id, read_bags, write_bags
 from .errors import ConfigError, PatchbagError, SchemaMismatchError
 from .model import DEFAULT_SCHEMA, TagSchema, load_checkpoint, save_checkpoint
 from .plots import confusion_svg
@@ -329,9 +329,11 @@ def cmd_preprocess(args) -> int:
     fparams = FeaturizerParams.initialize(hidden_dim=section["hidden_dim"],
                                           out_dim=section["feature_dim"],
                                           seed=cfg["seed"])
-    jobs = []
+    jobs, stems = [], set()
     for entry in images:
         path = _required(entry["path"], "preprocess.images.path")
+        stem = os.path.splitext(os.path.basename(path))[0]
+        claim_bag_id(stem, stems, ConfigError, f"preprocess: image {path}")
         labels = []
         for name, classes in schema.tasks:
             value = entry["labels"].get(name)
@@ -342,13 +344,12 @@ def cmd_preprocess(args) -> int:
                     "is missing or names no class"
                 )
             labels.append(index)
-        jobs.append((path, tuple(labels)))
+        jobs.append((path, stem, tuple(labels)))
 
     def bag(job, stream):
-        path, labels = job
+        path, stem, labels = job
         feats, _ = image_to_features(read_pnm(path), count, section["patch_size"],
                                      fparams, seed=stream)
-        stem = os.path.splitext(os.path.basename(path))[0]
         return PatchBag(bag_id=stem, features=feats, labels=labels)
 
     # one image per CPU; each has its own stream, so bytes do not depend on

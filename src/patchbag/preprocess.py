@@ -3,11 +3,11 @@ fixed featurizer.
 
 Images come in as binary 8-bit PGM (grayscale) or PPM (color). Otsu's
 threshold on the grayscale histogram separates dark tissue from bright
-background. Fixed-size windows are sampled from the foreground into one
-(N, side, side[, 3]) uint8 stack, augmented down to an (N, 224, 224[, 3])
-stack, and turned into feature vectors by a fixed, seeded two-layer
-linear+ReLU projection; each of the N rows has the bytes of its patch
-featurized alone. Nothing trains the
+background. Top-left corners of N fixed-size windows are drawn in the
+foreground; a 224x224 patch is cut from the slide inside each window and
+augmented into one (N, 224, 224[, 3]) uint8 stack, which a fixed, seeded
+two-layer linear+ReLU projection turns into feature vectors; each of the N
+rows has the bytes of its patch featurized alone. Nothing trains the
 featurizer: its weights are drawn from the seed and never updated.
 """
 
@@ -195,25 +195,16 @@ def window_mask(mask, patch_size: int):
     return ok
 
 
-def valid_anchors(mask, patch_size: int):
-    """Top-left corners whose window is inside bounds and mostly foreground."""
-    return np.argwhere(window_mask(mask, patch_size))
-
-
-def cut_windows(image, anchors, side: int):
-    """The (N, side, side[, 3]) stack of the windows at the N top-left corners."""
-    windows = np.empty((len(anchors), side, side) + image.shape[2:], dtype=image.dtype)
-    for window, (y, x) in zip(windows, anchors):
-        window[...] = image[y:y + side, x:x + side]
-    return windows
-
-
-def sample_patches(image, mask, count: int, patch_size: int, seed):
-    """Uniformly sample `count` valid windows without replacement: their
-    (count, side, side[, 3]) stack and (count, 2) int64 top-left corners.
+def sample_patches(mask, count: int, patch_size: int, seed):
+    """The (count, 2) int64 top-left corners of `count` mostly-foreground
+    windows, drawn uniformly without replacement.
 
     The draw picks among the valid corners in row-major order, so only the
     picked corners are located."""
+    if patch_size < 1:
+        raise SizeError(f"sample_patches: patch_size must be >= 1, got {patch_size}")
+    if count < 0:
+        raise ContractError(f"sample_patches: count must be >= 0, got {count}")
     ok = window_mask(mask, patch_size)
     found = int(np.count_nonzero(ok))
     if found < count:
@@ -224,28 +215,32 @@ def sample_patches(image, mask, count: int, patch_size: int, seed):
     starts = np.zeros(len(ok) + 1, dtype=np.int64)
     np.cumsum(np.count_nonzero(ok, axis=1), out=starts[1:])
     rows = np.searchsorted(starts, picks, side="right") - 1
-    anchors = np.array([(y, np.flatnonzero(ok[y])[k - starts[y]])
-                        for y, k in zip(rows, picks)], dtype=np.int64).reshape(count, 2)
-    return cut_windows(np.asarray(image), anchors, patch_size), anchors
+    return np.array([(y, np.flatnonzero(ok[y])[k - starts[y]])
+                     for y, k in zip(rows, picks)], dtype=np.int64).reshape(count, 2)
 
 
-def augment(windows, seeds):
-    """The (N, 224, 224[, 3]) stack of N square windows, each cropped to 224 at
-    random, flipped horizontally and vertically 50/50 and turned by 0-3 quarter
-    turns, all drawn in that order from its own seed (int or SeedSequence)."""
-    windows = np.asarray(windows)
-    shape = windows.shape
-    if (windows.ndim < 3 or shape[1] != shape[2] or shape[1] < PATCH_SIDE
-            or shape[3:] not in ((), (3,))):
-        raise SizeError(f"augment: need square windows of side >= {PATCH_SIDE}, got {shape}")
-    if len(seeds) != len(windows):
-        raise ContractError(f"augment: {len(seeds)} seeds for {len(windows)} windows")
-    span = shape[1] - PATCH_SIDE + 1
-    out = np.empty((len(windows), PATCH_SIDE, PATCH_SIDE) + shape[3:], dtype=windows.dtype)
-    for patch, window, seed in zip(out, windows, seeds):
+def augment(image, anchors, side: int, seeds):
+    """The (N, 224, 224[, 3]) stack of patches cut from an (H, W[, 3]) image,
+    one per (N, 2) top-left corner of a `side` window: each is cropped to 224
+    at random inside its window, flipped horizontally and vertically 50/50
+    and turned by 0-3 quarter turns, all drawn in that order from its own
+    seed (int or SeedSequence)."""
+    image = np.asarray(image)
+    if image.ndim not in (2, 3) or image.shape[2:] not in ((), (3,)) or side < PATCH_SIDE:
+        raise SizeError(f"augment: need an (H, W[, 3]) image and windows of side "
+                        f">= {PATCH_SIDE}, got {image.shape} and {side}")
+    if np.shape(anchors) != (len(seeds), 2):
+        raise ContractError(f"augment: {len(seeds)} seeds for corners of shape "
+                            f"{np.shape(anchors)}")
+    if np.any(np.less(anchors, 0)) or np.any(np.add(anchors, side) > image.shape[:2]):
+        raise SizeError(f"augment: a window of side {side} leaves the {image.shape} image")
+    span = side - PATCH_SIDE + 1
+    out = np.empty((len(seeds), PATCH_SIDE, PATCH_SIDE) + image.shape[2:], dtype=image.dtype)
+    for patch, (y, x), seed in zip(out, anchors, seeds):
         rng = np.random.default_rng(seed)
-        y, x = rng.integers(span), rng.integers(span)
-        view = window[y:y + PATCH_SIDE, x:x + PATCH_SIDE]
+        y += rng.integers(span)
+        x += rng.integers(span)
+        view = image[y:y + PATCH_SIDE, x:x + PATCH_SIDE]
         if rng.random() < 0.5:
             view = view[:, ::-1]
         if rng.random() < 0.5:
@@ -334,9 +329,8 @@ def image_to_features(image, count: int, patch_size: int,
 
     `seed` may be an int or a numpy SeedSequence. Returns the (count, out_dim)
     float64 features and the (count, 224, 224[, 3]) augmented stack. A color
-    slide's gray windows are cut from its gray and augmented by the same draws
-    as the color ones, so no patch is grayed a second time. Each stack is
-    dropped once the next one is made.
+    slide's gray patches are cut from its gray by the same draws as the color
+    ones, so no patch is grayed a second time.
     """
     if count < 1:
         raise ContractError(f"image_to_features: count must be >= 1, got {count}")
@@ -349,13 +343,11 @@ def image_to_features(image, count: int, patch_size: int,
     mask = foreground_mask(gray, result.threshold)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     sample_ss, augment_ss = root.spawn(2)
-    windows, anchors = sample_patches(image, mask, count, patch_size, sample_ss)
+    anchors = sample_patches(mask, count, patch_size, sample_ss)
     del mask
     seeds = augment_ss.spawn(count)
-    final = augment(windows, seeds)
-    del windows
-    final_gray = (augment(cut_windows(gray, anchors, patch_size), seeds)
-                  if image.ndim == 3 else final)
+    final = augment(image, anchors, patch_size, seeds)
+    final_gray = augment(gray, anchors, patch_size, seeds) if image.ndim == 3 else final
     del gray
     feats = [featurize(final[i:i + FEATURIZE_CHUNK], fparams,
                        final_gray[i:i + FEATURIZE_CHUNK])

@@ -386,6 +386,25 @@ class TestPreprocessCommand:
         err = capsys.readouterr().err
         assert "'green'" in err and "bad.ppm" not in err
 
+    @pytest.mark.parametrize("later,text", [
+        (("a/slide.ppm", "b/slide.ppm"), "duplicate bag id 'slide'"),
+        (("bad name.ppm",), "bag id 'bad name' must be"),
+    ], ids=["duplicate", "malformed"])
+    def test_bad_bag_id_is_reported_before_any_pixels_are_read(self, tmp_path, capsys,
+                                                               later, text):
+        # the bag id of each entry is its file's stem: a duplicate or malformed
+        # one on a later entry wins over a malformed first image
+        (tmp_path / "bad.ppm").write_bytes(b"P3\n4 4\n255\n")
+        for name in later:
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            self.make_slide(tmp_path, name=name)
+        paths = [tmp_path / "bad.ppm"] + [tmp_path / name for name in later]
+        code = cli.main(["preprocess", "--config", self.images_config(tmp_path, paths),
+                         "--out", str(tmp_path / "bags")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert text in err and "unsupported magic" not in err
+
 
 class TestExitCodes:
     def test_io_failure_exit_3(self, tmp_path, capsys):

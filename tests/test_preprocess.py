@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from patchbag.preprocess import (
     read_pnm,
     sample_patches,
     to_grayscale,
-    valid_anchors,
+    window_mask,
     write_pnm,
 )
 
@@ -122,29 +123,22 @@ class TestOtsu:
 
 class TestSampling:
     def test_all_foreground_single_patch_in_bounds(self):
-        rng = np.random.default_rng(4)
-        image = rng.integers(0, 256, size=(300, 280), dtype=np.uint8)
         mask = np.ones((300, 280), dtype=bool)
-        windows, anchors = sample_patches(image, mask, 1, 224, seed=0)
-        assert windows.shape == (1, 224, 224) and windows.dtype == np.uint8
+        anchors = sample_patches(mask, 1, 224, seed=0)
         assert anchors.shape == (1, 2) and anchors.dtype == np.int64
         y, x = anchors[0]
         assert 0 <= y <= 300 - 224 and 0 <= x <= 280 - 224
-        np.testing.assert_array_equal(windows[0], image[y:y + 224, x:x + 224])
 
     def test_all_background_reports_count(self):
-        image = np.full((300, 300), 255, dtype=np.uint8)
         mask = np.zeros((300, 300), dtype=bool)
         with pytest.raises(InsufficientForegroundError) as err:
-            sample_patches(image, mask, 4, 224, seed=0)
+            sample_patches(mask, 4, 224, seed=0)
         assert err.value.found == 0 and err.value.needed == 4
 
     def test_same_seed_identical_coordinates(self):
-        rng = np.random.default_rng(5)
-        image = rng.integers(0, 256, size=(400, 400), dtype=np.uint8)
         mask = np.ones((400, 400), dtype=bool)
-        _, a = sample_patches(image, mask, 8, 224, seed=42)
-        _, b = sample_patches(image, mask, 8, 224, seed=42)
+        a = sample_patches(mask, 8, 224, seed=42)
+        b = sample_patches(mask, 8, 224, seed=42)
         assert a.tolist() == b.tolist()
 
     @pytest.mark.parametrize("seed", range(4))
@@ -154,21 +148,29 @@ class TestSampling:
         rng = np.random.default_rng([62, seed])
         mask = rng.random((40, 50)) < 0.55
         mask[:12] = False
-        image = rng.integers(0, 256, size=(40, 50, 3), dtype=np.uint8)
-        windows, anchors = sample_patches(image, mask, 6, 8, seed=seed)
-        every = valid_anchors(mask, 8)
+        anchors = sample_patches(mask, 6, 8, seed=seed)
+        every = np.argwhere(window_mask(mask, 8))
         want = every[np.random.default_rng(seed).choice(len(every), size=6, replace=False)]
         assert anchors.tolist() == want.tolist()
-        for window, (y, x) in zip(windows, anchors):
-            assert window.tobytes() == image[y:y + 8, x:x + 8].tobytes()
 
     def test_half_foreground_quota_enforced(self):
         # left half foreground: windows crossing the boundary need >= 50%
         mask = np.zeros((10, 20), dtype=bool)
         mask[:, :10] = True
-        anchors = valid_anchors(mask, 10)
+        anchors = np.argwhere(window_mask(mask, 10))
         # window at x covers columns [x, x+10); foreground cols = 10 - x
         assert set(anchors[:, 1].tolist()) == {0, 1, 2, 3, 4, 5}
+
+    @pytest.mark.parametrize("patch_size,count,error,text", [
+        (0, 2, SizeError, "patch_size must be >= 1, got 0"),
+        (-1, 2, SizeError, "patch_size must be >= 1, got -1"),
+        (-5, 2, SizeError, "patch_size must be >= 1, got -5"),
+        (4, -1, ContractError, "count must be >= 0, got -1"),
+    ], ids=["size-0", "size-minus-1", "size-minus-5", "count-minus-1"])
+    def test_bad_patch_size_or_count_rejected_naming_it(self, patch_size, count,
+                                                         error, text):
+        with pytest.raises(error, match=text):
+            sample_patches(np.ones((20, 20), dtype=bool), count, patch_size, seed=0)
 
 
 class TestValidAnchors:
@@ -180,35 +182,40 @@ class TestValidAnchors:
         rng = np.random.default_rng([61, *shape, patch])
         for _ in range(4):
             mask = rng.random(shape) < density
-            anchors = valid_anchors(mask, patch)
-            assert anchors.dtype == np.int64 and anchors.shape[1] == 2
+            anchors = np.argwhere(window_mask(mask, patch))
             assert [tuple(a) for a in anchors.tolist()] == anchors_by_window_sums(mask, patch)
 
     def test_window_exactly_at_the_quota_is_kept(self):
         mask = np.zeros((4, 4), dtype=bool)
         mask.flat[:8] = True                 # 8 of 16: exactly half
-        assert valid_anchors(mask, 4).tolist() == [[0, 0]]
+        assert window_mask(mask, 4).tolist() == [[True]]
         mask.flat[7] = False                 # 7 of 16: one short
-        assert valid_anchors(mask, 4).shape == (0, 2)
+        assert window_mask(mask, 4).tolist() == [[False]]
 
     def test_window_as_large_as_the_mask(self):
         mask = np.ones((9, 9), dtype=bool)
-        assert valid_anchors(mask, 9).tolist() == [[0, 0]]
+        assert window_mask(mask, 9).tolist() == [[True]]
 
     @pytest.mark.parametrize("shape", [(5, 20), (20, 5), (5, 5)])
     def test_mask_smaller_than_the_window_gives_no_anchor(self, shape):
-        anchors = valid_anchors(np.ones(shape, dtype=bool), 6)
-        assert anchors.shape == (0, 2) and anchors.dtype == np.int64
+        ok = window_mask(np.ones(shape, dtype=bool), 6)
+        assert ok.size == 0 and ok.dtype == bool
 
 
 class TestAugment:
     SEEDS = range(64)     # their draws cover all 16 flip and quarter-turn choices
 
     @staticmethod
-    def make_windows(side, color, n=64, seed=6):
+    def make_slide(side, color, seed=6):
+        """A random slide a little larger than one window, and 64 corners in
+        it, its four extreme corners among them."""
         rng = np.random.default_rng([seed, side, color])
-        shape = (n, side, side, 3) if color else (n, side, side)
-        return rng.integers(0, 256, size=shape, dtype=np.uint8)
+        h, w = side + 37, side + 52
+        shape = (h, w, 3) if color else (h, w)
+        corners = np.stack([rng.integers(h - side + 1, size=64),
+                            rng.integers(w - side + 1, size=64)], axis=1)
+        corners[:4] = [(0, 0), (0, w - side), (h - side, 0), (h - side, w - side)]
+        return rng.integers(0, 256, size=shape, dtype=np.uint8), corners
 
     @staticmethod
     def undo(patch, choices):
@@ -221,12 +228,13 @@ class TestAugment:
     @pytest.mark.parametrize("side", [224, 260, 300])
     @pytest.mark.parametrize("color", [True, False], ids=["P6", "P5"])
     def test_matches_the_slicing_oracle(self, color, side):
-        windows = self.make_windows(side, color)
-        out = augment(windows, self.SEEDS)
-        assert out.shape == (len(windows), 224, 224) + windows.shape[3:]
+        image, corners = self.make_slide(side, color)
+        out = augment(image, corners, side, self.SEEDS)
+        assert out.shape == (len(corners), 224, 224) + image.shape[2:]
         assert out.dtype == np.uint8 and out.flags.c_contiguous
         drawn = set()
-        for patch, window, seed in zip(out, windows, self.SEEDS):
+        for patch, (y, x), seed in zip(out, corners, self.SEEDS):
+            window = image[y:y + side, x:x + side]
             want, choices = augment_by_slicing(window, seed)
             assert patch.tobytes() == np.ascontiguousarray(want).tobytes()
             crop_y, crop_x = choices[:2]
@@ -236,21 +244,29 @@ class TestAugment:
         assert len(drawn) == 16
 
     def test_identity_draw_gives_the_center_crop(self):
-        windows = self.make_windows(260, True, n=1)
+        image, _ = self.make_slide(260, True)
         seed = 5097       # draws crop (18, 18), no flip, no turn
-        assert augment_by_slicing(windows[0], seed)[1] == (18, 18, False, False, 0)
-        out = augment(windows, [seed])
-        np.testing.assert_array_equal(out[0], windows[0, 18:242, 18:242])
+        assert augment_by_slicing(image[7:267, 11:271], seed)[1] == (18, 18, False, False, 0)
+        out = augment(image, [(7, 11)], 260, [seed])
+        np.testing.assert_array_equal(out[0], image[25:249, 29:253])
 
-    @pytest.mark.parametrize("shape", [(1, 200, 200, 3), (1, 300, 200, 3)],
-                             ids=["small", "not_square"])
-    def test_small_input_rejected(self, shape):
+    @pytest.mark.parametrize("shape,side", [((300, 300, 3), 200), ((300, 300, 4), 224)],
+                             ids=["small", "four_channels"])
+    def test_small_input_rejected(self, shape, side):
         with pytest.raises(SizeError):
-            augment(np.zeros(shape, dtype=np.uint8), [0])
+            augment(np.zeros(shape, dtype=np.uint8), [(0, 0)], side, [0])
+
+    @pytest.mark.parametrize("corner", [(-1, 0), (0, -1), (38, 0), (0, 53)],
+                             ids=["above", "left", "below", "right"])
+    def test_window_leaving_the_image_rejected(self, corner):
+        image, _ = self.make_slide(224, False)      # 261 x 276
+        with pytest.raises(SizeError, match="leaves the"):
+            augment(image, [(0, 0), corner], 224, [0, 1])
 
     def test_one_seed_per_window_required(self):
-        with pytest.raises(ContractError, match="1 seeds for 2 windows"):
-            augment(self.make_windows(224, False, n=2), [0])
+        image, corners = self.make_slide(224, False)
+        with pytest.raises(ContractError, match=r"1 seeds for corners of shape \(2, 2\)"):
+            augment(image, corners[:2], 224, [0])
 
 
 class TestFeaturizer:
@@ -365,6 +381,20 @@ class TestImagePipeline:
                                      patch_size=240, fparams=fparams, seed=21)
         assert feats.shape == (10, 64)
         assert hashlib.sha256(feats.tobytes()).hexdigest() == digest
+
+    def test_peak_memory_of_a_2048_color_slide_is_bounded(self):
+        # patches are cut straight from the slide: 19.4 MB traced here, against
+        # 35.9 MB when every 512 window was first copied into a stack; the
+        # bound adds a quarter to the measured peak
+        slide = self.seeded_slide(13, 2048, True)
+        fparams = FeaturizerParams.initialize(seed=5)
+        tracemalloc.start()
+        try:
+            image_to_features(slide, count=32, patch_size=512, fparams=fparams, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6, f"{peak / 1e6:.1f} MB"
 
     def test_mask_separates_tissue_from_background(self):
         img = self.make_tissue_image()

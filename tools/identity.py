@@ -11,7 +11,9 @@ mixed patch counts, trains each arm in ARMS for 2 epochs, runs `eval` and
 mixed set, and runs `preprocess` on three slides, 13 patches each (a full
 featurizer chunk of 8 and a partial one): a color and a gray one of one
 size and a color one of another. Three images are more than a 2-CPU
-machine runs at once, so one worker takes a second image. It prints the
+machine runs at once, so one worker takes a second image. `preprocess`
+runs twice, with windows of 240 and of 224, where every crop offset is 0
+and each patch is its whole window. It prints the
 OpenBLAS core name, then one `path sha256` line per output file, sorted by
 path. Trained bytes depend on the BLAS kernel, so two lists compare only
 when their core names match: run it on two checkouts on one machine and
@@ -95,13 +97,14 @@ def produce(work, seed):
               (os.path.join(work, "color640.ppm"), make_slide(640, rng)[0])]
     for path, pixels in slides:
         write_pnm(path, pixels)
-    config = os.path.join(work, "preprocess.json")
     labels = {"stain": "IHC", "species": "Rat", "organ": "Liver"}
-    write_json(config, {"preprocess": {
-        "images": [{"path": path, "labels": labels} for path, _ in slides],
-        "patches_per_bag": 13, "patch_size": 240, "feature_dim": 32}})
-    run_cli(["preprocess", "--config", config, "--out", os.path.join(out, "preprocess")]
-            + seed_flag)
+    for patch_size, name in ((240, "preprocess"), (224, "preprocess224")):
+        config = os.path.join(work, f"{name}.json")
+        write_json(config, {"preprocess": {
+            "images": [{"path": path, "labels": labels} for path, _ in slides],
+            "patches_per_bag": 13, "patch_size": patch_size, "feature_dim": 32}})
+        run_cli(["preprocess", "--config", config, "--out", os.path.join(out, name)]
+                + seed_flag)
     return out
 
 
