@@ -12,13 +12,16 @@ A bag's offset is the running byte total of the bags before it. The reader
 accepts exactly the layout `write_bags` emits, field by field in that order;
 anything else is a ParseError, and a blob shorter or longer than the bags'
 bytes an IntegrityError. The round trip is bit-exact.
+`check_bags` is the one rule for a bag set's contents (one feature width, a
+class index of each task per bag); `write_bags`, `read_bags` and `train`
+(over train and val together) apply it, and ids are `claim_bag_id`'s.
 """
 
 import os
 
 import numpy as np
 
-from .errors import ConfigError, IntegrityError, ParseError, SchemaMismatchError
+from .errors import ConfigError, IntegrityError, ParseError
 from .model import TagSchema, count_line, header_int, parse_schema_lines
 from .synth import PatchBag
 
@@ -44,9 +47,28 @@ def claim_bag_id(bag_id, seen, error, where) -> None:
     seen.add(bag_id)
 
 
+def check_bags(bags, schema: TagSchema, error, where) -> None:
+    """Raise `error` naming `where` unless every bag has the first bag's
+    feature width and one label per task, each a class index of that task."""
+    counts = schema.class_counts
+    for bag in bags:
+        width = bags[0].features.shape[1]
+        if bag.features.shape[1] != width:
+            raise error(f"{where}: bag {bag.bag_id!r} has feature width "
+                        f"{bag.features.shape[1]}, the first bag {width}")
+        if len(bag.labels) != len(counts):
+            raise error(f"{where}: bag {bag.bag_id!r} has {len(bag.labels)} labels, "
+                        f"the schema has {len(counts)} tasks")
+        for k, label in enumerate(bag.labels):
+            if not 0 <= label < counts[k]:
+                raise error(f"{where}: bag {bag.bag_id!r} label {label!r} is not "
+                            f"a class of task {schema.task_names[k]!r}")
+
+
 def write_bags(dataset, directory, schema: TagSchema) -> None:
     if not dataset:
         raise ConfigError("write_bags: empty dataset")
+    check_bags(dataset, schema, ConfigError, "write_bags")
     feature_dim = dataset[0].features.shape[1]
     os.makedirs(directory, exist_ok=True)
 
@@ -62,20 +84,6 @@ def write_bags(dataset, directory, schema: TagSchema) -> None:
     seen = set()
     for bag in dataset:
         claim_bag_id(bag.bag_id, seen, ConfigError, "write_bags")
-        if bag.features.shape[1] != feature_dim:
-            raise SchemaMismatchError(
-                f"write_bags: bag {bag.bag_id!r} has feature dim "
-                f"{bag.features.shape[1]}, dataset uses {feature_dim}"
-            )
-        if len(bag.labels) != schema.n_tasks:
-            raise SchemaMismatchError(
-                f"write_bags: bag {bag.bag_id!r} has {len(bag.labels)} labels, "
-                f"schema has {schema.n_tasks} tasks"
-            )
-        for (task, classes), label in zip(schema.tasks, bag.labels):
-            if not 0 <= label < len(classes):
-                raise ConfigError(f"write_bags: bag {bag.bag_id!r} label {label} is "
-                                  f"not a class of task {task!r}")
         pairs = " ".join(
             f"{name}={label}" for name, label in zip(schema.task_names, bag.labels)
         )
@@ -145,10 +153,6 @@ def read_bags(directory):
                 f"{path}: bag {bag_id!r} declares offset={bag_offset}, but the "
                 f"bags before it end at byte {offset}"
             )
-        for (task, classes), label in zip(schema.tasks, labels):
-            if label >= len(classes):
-                raise ParseError(f"{path}: bag {bag_id!r} label {label} out of "
-                                 f"range for task {task!r}")
 
         count = n_patches * feature_dim
         offset += count * 8
@@ -164,6 +168,7 @@ def read_bags(directory):
                 feats.reshape(n_patches, feature_dim), dtype=np.float64),
             labels=tuple(labels),
         ))
+    check_bags(bags, schema, ParseError, path)
 
     if len(blob) != offset:
         raise IntegrityError(

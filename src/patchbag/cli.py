@@ -271,11 +271,12 @@ def _load_scored(cfg: dict):
     out = _out_dir(cfg)
     params = load_checkpoint(ckpt)
     bags, schema = read_bags(data_dir)
-    if params.schema != schema:
+    width = bags[0].features.shape[1] if bags else params.dims.feature_dim
+    if params.schema != schema or width != params.dims.feature_dim:
         raise SchemaMismatchError(
-            "checkpoint schema does not match data schema:\n"
-            f"  checkpoint: [{params.schema.describe()}]\n"
-            f"  data:       [{schema.describe()}]"
+            "checkpoint does not match data:\n"
+            f"  checkpoint: feature_dim {params.dims.feature_dim} [{params.schema.describe()}]\n"
+            f"  data:       feature_dim {width} [{schema.describe()}]"
         )
     return params, bags, schema, out
 

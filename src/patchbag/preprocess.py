@@ -103,10 +103,11 @@ def write_pnm(path, image) -> None:
 
 
 def to_grayscale(image):
-    """Rounded luma of each pixel, PIXEL_CHUNK pixels at a time."""
+    """Rounded luma of each pixel, PIXEL_CHUNK pixels at a time. A uint8
+    gray slide comes back as itself, not a copy."""
     image = np.asarray(image)
     if image.ndim == 2:
-        return image.astype(np.uint8)
+        return np.asarray(image, dtype=np.uint8)
     rgb = image.reshape(-1, image.shape[-1])
     gray = np.empty(len(rgb), dtype=np.uint8)
     for i in range(0, len(rgb), PIXEL_CHUNK):

@@ -23,6 +23,7 @@ from itertools import groupby
 import numpy as np
 
 from . import autodiff as ad
+from .bagio import check_bags
 from .errors import ConfigError, ContractError
 from .metrics import MetricsReport, build_report
 from .model import ModelDims, ModelParams, TagSchema, forward
@@ -202,22 +203,6 @@ class TrainResult:
     best_epoch: int = -1
 
 
-def _check_bags(bags, schema, what):
-    dims = {b.features.shape[1] for b in bags}
-    if len(dims) > 1:
-        raise ConfigError(f"train: {what} split mixes feature dims {sorted(dims)}")
-    counts = schema.class_counts
-    for b in bags:
-        if len(b.labels) != schema.n_tasks:
-            raise ConfigError(f"train: bag {b.bag_id!r} label count != tasks")
-        for k, label in enumerate(b.labels):
-            if not (0 <= label < counts[k]):
-                raise ConfigError(
-                    f"train: bag {b.bag_id!r} label {label} out of range for "
-                    f"task {schema.task_names[k]!r}"
-                )
-
-
 def train(train_bags, val_bags, schema: TagSchema, config: TrainConfig) -> TrainResult:
     """Train on the train split, selecting the best-validation checkpoint.
 
@@ -227,9 +212,7 @@ def train(train_bags, val_bags, schema: TagSchema, config: TrainConfig) -> Train
     if not train_bags:
         raise ConfigError("train: empty training split")
     config.validate(schema.n_tasks)
-    _check_bags(train_bags, schema, "train")
-    if val_bags:
-        _check_bags(val_bags, schema, "val")
+    check_bags([*train_bags, *(val_bags or ())], schema, ConfigError, "train")
 
     dims = ModelDims(feature_dim=train_bags[0].features.shape[1],
                      attn_hidden=config.attn_hidden, tag_hidden=config.tag_hidden,

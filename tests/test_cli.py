@@ -158,6 +158,32 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", cfg, "--data", str(data),
                          "--out", str(tmp_path / "run")]) == 0
 
+    def test_train_and_val_of_two_synth_runs_share_ids_and_train(self, tmp_path):
+        data = tmp_path / "d"
+        data.mkdir()
+        make_data_dir(data, "train")
+        make_data_dir(data, "val")
+        assert read_bags(data / "val")[0][0].bag_id == read_bags(data / "train")[0][0].bag_id
+        cfg = write_config(tmp_path, TRAIN_SECTION)
+        assert cli.main(["train", "--config", cfg, "--data", str(data),
+                         "--out", str(tmp_path / "run")]) == 0
+
+    def test_val_of_another_width_exit_2_before_training(self, tmp_path, capsys):
+        data = tmp_path / "d"
+        data.mkdir()
+        make_data_dir(data, "train")
+        cfg6 = write_config(tmp_path, {"synth": {**SMALL_SYNTH["synth"], "feature_dim": 6}},
+                            name="synth6.json")
+        assert cli.main(["synth", "--config", cfg6, "--out", str(data / "val")]) == 0
+        cfg = write_config(tmp_path, TRAIN_SECTION)
+        code = cli.main(["train", "--config", cfg, "--data", str(data),
+                         "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: train: bag ")
+        assert "has feature width 6, the first bag 8" in err
+        assert os.listdir(tmp_path / "run") == []
+
 
 class TestEvalCommand:
     def setup_run(self, tmp_path):
@@ -199,7 +225,7 @@ class TestEvalCommand:
         assert "color:2" in err and "tint:3" in err
 
     @pytest.mark.parametrize("command", ["eval", "export-attention"])
-    def test_feature_dim_unlike_the_checkpoint_exit_4(self, tmp_path, capsys, command):
+    def test_feature_dim_unlike_the_checkpoint_exit_2(self, tmp_path, capsys, command):
         _, ckpt = self.setup_run(tmp_path)
         cfg = write_config(tmp_path, {"synth": {**SMALL_SYNTH["synth"], "feature_dim": 6}},
                            name="synth6.json")
@@ -207,9 +233,11 @@ class TestEvalCommand:
         assert cli.main(["synth", "--config", cfg, "--out", str(data6)]) == 0
         code = cli.main([command, "--checkpoint", str(ckpt), "--data", str(data6),
                          "--out", str(tmp_path / "e")])
-        assert code == 4
-        assert ("error: forward: bag feature dim 6 != model feature_dim 8"
-                in capsys.readouterr().err)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint does not match data:")
+        assert "checkpoint: feature_dim 8 [" in err and "data:       feature_dim 6 [" in err
+        assert os.listdir(tmp_path / "e") == []
 
     def test_missing_checkpoint_exit_2(self, tmp_path, capsys):
         data = make_data_dir(tmp_path)
@@ -463,8 +491,8 @@ def world(tmp_path_factory):
 
 
 # the file in `world` that each `edit` target names
-EDIT_TARGETS = {"manifest": "data/manifest", "checkpoint": "model.ckpt",
-                "slide": "slide.ppm"}
+EDIT_TARGETS = {"manifest": "data/manifest", "blob": "data/features.bin",
+                "checkpoint": "model.ckpt", "slide": "slide.ppm"}
 
 
 def bad(name, command, text, config=None, flags=(), slides=("slide.ppm",),
@@ -531,6 +559,17 @@ BAD_INPUTS = [
         edit=("manifest", b" offset=384 ", b" offset=0 ")),
     bad("manifest-unknown-task", "train", "flavor", code=4,
         edit=("manifest", b" color=", b" flavor=")),
+    bad("manifest-label-out-of-range", "train", "label 9 is not a class of task 'color'",
+        code=4, edit=("manifest", b" color=0 ", b" color=9 ")),
+    bad("manifest-bad-magic", "train", "unsupported magic line", code=4,
+        edit=("manifest", b"patchbag-bags 1\n", b"patchbag-bags 2\n")),
+    bad("manifest-no-end-line", "train", "missing 'end' line", code=4,
+        edit=("manifest", b"\nend\n", b"\n")),
+    bad("manifest-bag-count", "train", "declares 41 bags but lists 40", code=4,
+        edit=("manifest", b"\nbags 40\n", b"\nbags 41\n")),
+    # b"" matches at byte 0: the blob gains 8 bytes no bag accounts for
+    bad("blob-longer-than-manifest", "train", "manifest accounts for", code=4,
+        edit=("blob", b"", bytes(8))),
     bad("checkpoint-repeated-seed", "export-attention", "'seed 0'", code=4,
         edit=("checkpoint", b"seed 0\n", b"seed 0\nseed 0\n")),
     bad("checkpoint-unknown-line", "export-attention", "'bogus 1'", code=4,

@@ -446,3 +446,7 @@ class TestGrayscale:
     def test_gray_input_passes_through(self):
         gray = np.arange(256, dtype=np.uint8).reshape(16, 16)
         assert to_grayscale(gray).tobytes() == gray.tobytes()
+
+    def test_uint8_gray_input_comes_back_as_itself(self):
+        gray = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        assert np.shares_memory(to_grayscale(gray), gray)

@@ -214,6 +214,29 @@ class TestBagDirectory:
         assert repr(bags[1].bag_id) in str(err.value) and "'shape'" in str(err.value)
         assert not (tmp_path / "d" / "manifest").exists()
 
+    def test_empty_dataset_rejected_on_write(self, tmp_path):
+        with pytest.raises(ConfigError, match="write_bags: empty dataset"):
+            write_bags([], tmp_path / "d", TWO_TASKS)
+        assert not (tmp_path / "d").exists()
+
+    def test_mixed_feature_width_rejected_on_write(self, tmp_path):
+        bags = generate(small_config(n_bags=2))
+        bags[1] = PatchBag(bags[1].bag_id, np.ones((8, 5)), bags[1].labels)
+        with pytest.raises(ConfigError) as err:
+            write_bags(bags, tmp_path / "d", TWO_TASKS)
+        assert (f"write_bags: bag {bags[1].bag_id!r} has feature width 5, the first "
+                "bag 12") in str(err.value)
+        assert not (tmp_path / "d").exists()
+
+    def test_label_count_unlike_the_schema_rejected_on_write(self, tmp_path):
+        bags = generate(small_config(n_bags=2))
+        bags[1].labels = (0, 1, 0)
+        with pytest.raises(ConfigError) as err:
+            write_bags(bags, tmp_path / "d", TWO_TASKS)
+        assert (f"write_bags: bag {bags[1].bag_id!r} has 3 labels, the schema has 2 "
+                "tasks") in str(err.value)
+        assert not (tmp_path / "d").exists()
+
     @pytest.mark.parametrize("ids", [("", "b"), ("a b", "c"), ("a", "a"), (None, "b")])
     def test_bad_or_repeated_ids_rejected_on_write(self, tmp_path, ids):
         bags = generate(small_config(n_bags=2))

@@ -378,6 +378,27 @@ class TestTrain:
         with pytest.raises(ConfigError):
             train([], [], SCHEMA, TrainConfig())
 
+    @pytest.mark.parametrize("split_name", ["train", "val"])
+    def test_bag_of_another_width_rejected_naming_both(self, split_name):
+        bags = tiny_dataset(n_bags=10)
+        odd = PatchBag("odd", np.ones((6, 4)), (0, 0))
+        splits = {"train": bags[:8], "val": bags[8:]}
+        splits[split_name] = splits[split_name] + [odd]
+        with pytest.raises(ConfigError, match="'odd' has feature width 4, the first bag 10"):
+            train(splits["train"], splits["val"], SCHEMA, TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("labels,text", [
+        ((0,), "'odd' has 1 labels, the schema has 2 tasks"),
+        ((0, 2), "'odd' label 2 is not a class of task 'tone'"),
+        ((-1, 0), "'odd' label -1 is not a class of task 'size'"),
+    ], ids=["count", "above", "negative"])
+    def test_bad_labels_rejected_naming_bag_and_task(self, labels, text):
+        bags = tiny_dataset(n_bags=10)
+        odd = PatchBag("odd", np.ones((6, 10)), (0, 0))
+        odd.labels = labels
+        with pytest.raises(ConfigError, match=text):
+            train(bags[:8], bags[8:] + [odd], SCHEMA, TrainConfig(epochs=1))
+
     def test_invalid_configs_rejected(self):
         bags = tiny_dataset(n_bags=10)
         for bad in (

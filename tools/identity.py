@@ -17,7 +17,9 @@ and each patch is its whole window. It prints the
 OpenBLAS core name, then one `path sha256` line per output file, sorted by
 path. Trained bytes depend on the BLAS kernel, so two lists compare only
 when their core names match: run it on two checkouts on one machine and
-diff the outputs.
+diff the outputs. Last come one `exit CASE CODE` line per bad input in
+BAD_CASES, the exit code of a command run on it; their outputs are not
+digested.
 """
 
 import argparse
@@ -25,6 +27,8 @@ import ctypes
 import glob
 import hashlib
 import os
+import re
+import shutil
 import sys
 import tempfile
 
@@ -34,6 +38,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 import numpy as np  # noqa: E402
 
 from inputs import luma, make_slide, run_cli, write_json, write_mixed_bags  # noqa: E402
+from patchbag import cli  # noqa: E402
 from patchbag.preprocess import write_pnm  # noqa: E402
 
 N_BAGS = 400
@@ -108,6 +113,47 @@ def produce(work, seed):
     return out
 
 
+BAD_CASES = ("label-out-of-range", "train-val-widths", "eval-width",
+             "preprocess-unknown-class")
+
+
+def bad_exits(work, out, seed):
+    """Runs one command per BAD_CASES input, under work/bad; returns the
+    `exit CASE CODE` lines. Inputs are cut from produce's outputs in `out`."""
+    bad = os.path.join(work, "bad")
+    seed_flag = ["--seed", str(seed)]
+    train = os.path.join(work, "train_gated3.json")
+    label = shutil.copytree(os.path.join(out, "synth_whole"), os.path.join(bad, "label"))
+    manifest = os.path.join(label, "manifest")
+    with open(manifest, encoding="utf-8") as fh:
+        text = re.sub(r" stain=\d+ ", " stain=9 ", fh.read(), count=1)
+    with open(manifest, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    narrow_config = os.path.join(work, "synth_narrow.json")
+    write_json(narrow_config, {"synth": {"n_bags": 40, "feature_dim": 16,
+                                         "patches_per_bag": 32,
+                                         "ratios": [0.72, 0.08, 0.2]}})
+    narrow = os.path.join(bad, "narrow")
+    run_cli(["synth", "--config", narrow_config, "--out", narrow] + seed_flag)
+    widths = os.path.join(bad, "widths")
+    shutil.copytree(os.path.join(out, "synth_split", "train"), os.path.join(widths, "train"))
+    shutil.copytree(os.path.join(narrow, "val"), os.path.join(widths, "val"))
+    preprocess = os.path.join(work, "preprocess_unknown.json")
+    write_json(preprocess, {"preprocess": {
+        "images": [{"path": os.path.join(work, "color.ppm"),
+                    "labels": {"stain": "Nope", "species": "Rat", "organ": "Liver"}}],
+        "patches_per_bag": 13, "patch_size": 240, "feature_dim": 32}})
+    runs = (
+        ["train", "--config", train, "--data", label] + seed_flag,
+        ["train", "--config", train, "--data", widths] + seed_flag,
+        ["eval", "--checkpoint", os.path.join(out, "train_gated3", "checkpoint.ckpt"),
+         "--data", os.path.join(narrow, "test")],
+        ["preprocess", "--config", preprocess] + seed_flag,
+    )
+    return [f"exit {case} {cli.main(argv + ['--out', os.path.join(bad, case, 'out')])}"
+            for case, argv in zip(BAD_CASES, runs)]
+
+
 def digests(out):
     lines = []
     for base, _, files in os.walk(out):
@@ -131,7 +177,8 @@ def main(argv=None):
         stdout = sys.stdout
         sys.stdout = sys.stderr          # the commands' own lines
         try:
-            lines = digests(produce(work, args.seed))
+            out = produce(work, args.seed)
+            lines = digests(out) + bad_exits(work, out, args.seed)
         finally:
             sys.stdout = stdout
     print(f"# openblas core {blas_core()}")
