@@ -8,13 +8,17 @@ A dataset directory holds exactly two files:
   features.bin  every bag's (M, D) feature matrix as little-endian float64,
                 row-major, concatenated in manifest order
 
-A bag's offset is the running byte total of the bags before it. The reader
-accepts exactly the layout `write_bags` emits, field by field in that order;
-anything else is a ParseError, and a blob shorter or longer than the bags'
-bytes an IntegrityError. The round trip is bit-exact.
-`check_bags` is the one rule for a bag set's contents (one feature width, a
-class index of each task per bag); `write_bags`, `read_bags` and `train`
-(over train and val together) apply it, and ids are `claim_bag_id`'s.
+A bag's offset is the running byte total of the bags before it.
+`_bag_line` renders a bag line for `write_bags`, and `read_bags` accepts a
+line only if it is the one `_bag_line` renders from its id, patch count,
+labels and running offset; any other manifest, and one of no bags, is a
+ParseError. A blob shorter or longer than the bags' bytes, or holding a NaN
+or Inf, is an IntegrityError. `read_bags` reads features.bin once into one
+array and gives each bag a writeable view of its rows; the round trip is
+bit-exact. `check_bags` is the one rule for a bag set's contents (one
+feature width, a class index of each task per bag); `write_bags`,
+`read_bags` and `train` (over train and val together) apply it, and ids are
+`claim_bag_id`'s.
 """
 
 import os
@@ -65,45 +69,40 @@ def check_bags(bags, schema: TagSchema, error, where) -> None:
                             f"a class of task {schema.task_names[k]!r}")
 
 
+def _bag_line(schema: TagSchema, bag_id, patches, offset, labels) -> str:
+    pairs = " ".join(f"{name}={label}" for name, label in zip(schema.task_names, labels))
+    return f"bag {bag_id} patches={patches} offset={offset} {pairs}"
+
+
 def write_bags(dataset, directory, schema: TagSchema) -> None:
     if not dataset:
         raise ConfigError("write_bags: empty dataset")
     check_bags(dataset, schema, ConfigError, "write_bags")
-    feature_dim = dataset[0].features.shape[1]
-    os.makedirs(directory, exist_ok=True)
-
     lines = [
         f"{BAGS_MAGIC} {BAGS_VERSION}",
-        f"feature_dim {feature_dim}",
+        f"feature_dim {dataset[0].features.shape[1]}",
+        *schema.manifest_lines(),
+        f"bags {len(dataset)}",
     ]
-    lines.extend(schema.manifest_lines())
-    lines.append(f"bags {len(dataset)}")
-
     offset = 0
-    chunks = []
     seen = set()
     for bag in dataset:
         claim_bag_id(bag.bag_id, seen, ConfigError, "write_bags")
-        pairs = " ".join(
-            f"{name}={label}" for name, label in zip(schema.task_names, bag.labels)
-        )
-        lines.append(
-            f"bag {bag.bag_id} patches={bag.n_patches} offset={offset} {pairs}"
-        )
-        blob = np.ascontiguousarray(bag.features, dtype="<f8").tobytes()
-        chunks.append(blob)
-        offset += len(blob)
+        lines.append(_bag_line(schema, bag.bag_id, bag.n_patches, offset, bag.labels))
+        offset += bag.features.nbytes
     lines.append("end")
 
+    os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, MANIFEST_NAME), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     with open(os.path.join(directory, BLOB_NAME), "wb") as fh:
-        for chunk in chunks:
-            fh.write(chunk)
+        for bag in dataset:
+            fh.write(np.ascontiguousarray(bag.features, dtype="<f8"))
 
 
 def read_bags(directory):
-    """Load a bag directory; returns (bags, schema)."""
+    """Load a bag directory; returns (bags, schema). Each bag's features are a
+    writeable (M, D) view of the one array read from features.bin."""
     path = os.path.join(directory, MANIFEST_NAME)
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -120,6 +119,8 @@ def read_bags(directory):
         raise ParseError(f"{path}: feature_dim {feature_dim}: must be >= 1")
     schema = parse_schema_lines(it, path=path)
     n_bags = count_line(path, next(it, ""), "bags")
+    if n_bags < 1:
+        raise ParseError(f"{path}: bags {n_bags}: must be >= 1")
     bag_lines = list(it)
     if len(bag_lines) != n_bags:
         raise ParseError(
@@ -127,16 +128,14 @@ def read_bags(directory):
         )
 
     blob_path = os.path.join(directory, BLOB_NAME)
-    with open(blob_path, "rb") as fh:
-        blob = fh.read()
-
-    keys = ("patches", "offset", *schema.task_names)
+    size = os.path.getsize(blob_path)
+    blob = np.fromfile(blob_path, dtype="<f8")      # a partial last float is dropped
     ids = set()
     bags = []
     offset = 0
     for line in bag_lines:
         toks = line.split(" ")
-        if len(toks) != 2 + len(keys) or toks[0] != "bag":
+        if len(toks) != 4 + len(schema.task_names) or toks[0] != "bag":
             raise ParseError(
                 f"{path}: bad bag line {line!r}: expected 'bag ID patches=M "
                 f"offset=O' then one task=label for each of "
@@ -144,41 +143,31 @@ def read_bags(directory):
             )
         bag_id = toks[1]
         claim_bag_id(bag_id, ids, ParseError, path)
-        n_patches, bag_offset, *labels = (
-            _field(path, bag_id, key, tok) for key, tok in zip(keys, toks[2:]))
+        # patches and labels are read; the offset is the bags' running total
+        n_patches, *labels = (header_int(path, tok.partition("=")[2], f"bag {bag_id} {tok}")
+                              for tok in toks[2:3] + toks[4:])
+        want = _bag_line(schema, bag_id, n_patches, offset, labels)
+        if line != want:
+            got, field = next((g, w) for g, w in zip(toks, want.split(" ")) if g != w)
+            raise ParseError(f"{path}: bag {bag_id!r}: {got!r} should read {field!r}")
         if n_patches < 1:
             raise ParseError(f"{path}: bag {bag_id!r} declares patches=0")
-        if bag_offset != offset:
-            raise ParseError(
-                f"{path}: bag {bag_id!r} declares offset={bag_offset}, but the "
-                f"bags before it end at byte {offset}"
-            )
 
-        count = n_patches * feature_dim
-        offset += count * 8
-        if offset > len(blob):
+        start, offset = offset, offset + 8 * n_patches * feature_dim
+        if offset > size:
             raise IntegrityError(
-                f"{blob_path}: bag {bag_id!r} needs bytes [{bag_offset}, {offset}) "
-                f"but blob has {len(blob)}"
+                f"{blob_path}: bag {bag_id!r} needs bytes [{start}, {offset}) "
+                f"but blob has {size}"
             )
-        feats = np.frombuffer(blob, dtype="<f8", count=count, offset=bag_offset)
-        bags.append(PatchBag(
-            bag_id=bag_id,
-            features=np.ascontiguousarray(
-                feats.reshape(n_patches, feature_dim), dtype=np.float64),
-            labels=tuple(labels),
-        ))
+        feats = blob[start // 8:offset // 8].reshape(n_patches, feature_dim)
+        try:
+            bags.append(PatchBag(bag_id=bag_id, features=feats, labels=tuple(labels)))
+        except ConfigError as e:        # the shape is sound: a NaN or Inf
+            raise IntegrityError(f"{blob_path}: {e}") from None
     check_bags(bags, schema, ParseError, path)
 
-    if len(blob) != offset:
+    if size != offset:
         raise IntegrityError(
-            f"{blob_path}: blob is {len(blob)} bytes, manifest accounts for {offset}"
+            f"{blob_path}: blob is {size} bytes, manifest accounts for {offset}"
         )
     return bags, schema
-
-
-def _field(path, bag_id, key, token):
-    """N from a bag line's `key=N` token."""
-    if not token.startswith(key + "="):
-        raise ParseError(f"{path}: bag {bag_id!r}: expected '{key}=N', got {token!r}")
-    return header_int(path, token[len(key) + 1:], f"bag {bag_id} {key}")

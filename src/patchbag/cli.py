@@ -271,7 +271,7 @@ def _load_scored(cfg: dict):
     out = _out_dir(cfg)
     params = load_checkpoint(ckpt)
     bags, schema = read_bags(data_dir)
-    width = bags[0].features.shape[1] if bags else params.dims.feature_dim
+    width = bags[0].features.shape[1]
     if params.schema != schema or width != params.dims.feature_dim:
         raise SchemaMismatchError(
             "checkpoint does not match data:\n"

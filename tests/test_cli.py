@@ -557,6 +557,10 @@ BAD_INPUTS = [
         edit=("manifest", b" patches=6 offset=0 ", b" offset=0 patches=6 ")),
     bad("manifest-second-bag-offset-zero", "train", "offset=0", code=4,
         edit=("manifest", b" offset=384 ", b" offset=0 ")),
+    bad("manifest-patches-leading-zero", "train", "'patches=06' should read 'patches=6'",
+        code=4, edit=("manifest", b" patches=6 offset=0 ", b" patches=06 offset=0 ")),
+    bad("manifest-label-leading-zero", "train", "'color=00' should read 'color=0'",
+        code=4, edit=("manifest", b" color=0 ", b" color=00 ")),
     bad("manifest-unknown-task", "train", "flavor", code=4,
         edit=("manifest", b" color=", b" flavor=")),
     bad("manifest-label-out-of-range", "train", "label 9 is not a class of task 'color'",
@@ -632,6 +636,39 @@ class TestMalformedInput:
         assert cli.main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith("error:") and text in err
+
+    def run_on_data(self, world, tmp_path, command, data):
+        argv = [command, "--data", str(data), "--out", str(tmp_path / "out")]
+        if command == "train":
+            argv += ["--config", write_config(tmp_path, TRAIN_SECTION)]
+        else:
+            argv += ["--checkpoint", str(world / "model.ckpt")]
+        return cli.main(argv)
+
+    @pytest.mark.parametrize("command", ["train", "eval", "export-attention"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_feature_exit_4_naming_blob_and_bag(self, world, tmp_path, capsys,
+                                                           command, value):
+        data = Path(shutil.copytree(world / "data", tmp_path / "data"))
+        bags = read_bags(data)[0]
+        floats = np.fromfile(data / "features.bin", dtype="<f8")
+        floats[sum(b.features.size for b in bags[:3]) + 5] = value
+        floats.tofile(data / "features.bin")
+        assert self.run_on_data(world, tmp_path, command, data) == 4
+        err = capsys.readouterr().err
+        assert f"features.bin: bag {bags[3].bag_id!r}: features contain NaN/Inf" in err
+        assert os.listdir(tmp_path / "out") == []
+
+    @pytest.mark.parametrize("command", ["train", "eval", "export-attention"])
+    def test_manifest_of_no_bags_exit_4(self, world, tmp_path, capsys, command):
+        data = tmp_path / "data"
+        data.mkdir()
+        text = (world / "data" / "manifest").read_text()
+        (data / "manifest").write_text(text[:text.index("\nbags ")] + "\nbags 0\nend\n")
+        (data / "features.bin").write_bytes(b"")
+        assert self.run_on_data(world, tmp_path, command, data) == 4
+        assert "manifest: bags 0: must be >= 1" in capsys.readouterr().err
+        assert os.listdir(tmp_path / "out") == []
 
     def test_integer_for_a_float_key_trains(self, world, tmp_path):
         payload = json.loads(json.dumps(TRAIN_SECTION))

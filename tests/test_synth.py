@@ -175,6 +175,28 @@ class TestBagDirectory:
             read_bags(tmp_path / "d")
         assert bags[-1].bag_id in str(err.value)
 
+    def test_read_features_are_writeable_views_of_one_array(self, tmp_path):
+        bags = generate(small_config(n_bags=3))
+        write_bags(bags, tmp_path / "d", TWO_TASKS)
+        loaded, _ = read_bags(tmp_path / "d")
+        base = loaded[0].features.base
+        assert base is not None and base.flags.owndata
+        assert all(b.features.base is base and b.features.flags.writeable
+                   for b in loaded)
+        loaded[1].features[0, 0] = 7.0
+        assert loaded[0].features.tobytes() == bags[0].features.tobytes()
+        assert loaded[2].features.tobytes() == bags[2].features.tobytes()
+
+    def test_blob_a_partial_float_longer_than_manifest_rejected(self, tmp_path):
+        bags = generate(small_config(n_bags=3))
+        write_bags(bags, tmp_path / "d", TWO_TASKS)
+        blob = tmp_path / "d" / "features.bin"
+        size = blob.stat().st_size
+        blob.write_bytes(blob.read_bytes() + bytes(3))
+        with pytest.raises(IntegrityError) as err:
+            read_bags(tmp_path / "d")
+        assert f"blob is {size + 3} bytes, manifest accounts for {size}" in str(err.value)
+
     def test_unknown_task_in_manifest_rejected(self, tmp_path):
         bags = generate(small_config(n_bags=2))
         write_bags(bags, tmp_path / "d", TWO_TASKS)
@@ -245,7 +267,7 @@ class TestBagDirectory:
         with pytest.raises(ConfigError) as err:
             write_bags(bags, tmp_path / "d", TWO_TASKS)
         assert repr(ids[0]) in str(err.value)
-        assert not (tmp_path / "d" / "manifest").exists()
+        assert not (tmp_path / "d").exists()
 
     def test_empty_bag_rejected_at_construction(self):
         with pytest.raises(ConfigError):

@@ -17,9 +17,11 @@ and each patch is its whole window. It prints the
 OpenBLAS core name, then one `path sha256` line per output file, sorted by
 path. Trained bytes depend on the BLAS kernel, so two lists compare only
 when their core names match: run it on two checkouts on one machine and
-diff the outputs. Last come one `exit CASE CODE` line per bad input in
-BAD_CASES, the exit code of a command run on it; their outputs are not
-digested.
+diff the outputs. Last come one `exit CASE CODE` line for each of the six
+bad inputs in BAD_CASES (a manifest label out of range, train and val of
+two widths, eval data of another width, an unknown preprocess class, a NaN
+in features.bin and a manifest of no bags), the exit code of a command run
+on it; their outputs are not digested.
 """
 
 import argparse
@@ -114,7 +116,7 @@ def produce(work, seed):
 
 
 BAD_CASES = ("label-out-of-range", "train-val-widths", "eval-width",
-             "preprocess-unknown-class")
+             "preprocess-unknown-class", "non-finite-blob", "empty-manifest")
 
 
 def bad_exits(work, out, seed):
@@ -129,6 +131,15 @@ def bad_exits(work, out, seed):
         text = re.sub(r" stain=\d+ ", " stain=9 ", fh.read(), count=1)
     with open(manifest, "w", encoding="utf-8") as fh:
         fh.write(text)
+    nan = shutil.copytree(os.path.join(out, "synth_whole"), os.path.join(bad, "nan"))
+    floats = np.fromfile(os.path.join(nan, "features.bin"), dtype="<f8")
+    floats[0] = np.nan
+    floats.tofile(os.path.join(nan, "features.bin"))
+    empty = os.path.join(bad, "empty")
+    os.makedirs(empty)
+    with open(os.path.join(empty, "manifest"), "w", encoding="utf-8") as fh:
+        fh.write(text[:text.index("\nbags ")] + "\nbags 0\nend\n")
+    open(os.path.join(empty, "features.bin"), "wb").close()
     narrow_config = os.path.join(work, "synth_narrow.json")
     write_json(narrow_config, {"synth": {"n_bags": 40, "feature_dim": 16,
                                          "patches_per_bag": 32,
@@ -149,6 +160,9 @@ def bad_exits(work, out, seed):
         ["eval", "--checkpoint", os.path.join(out, "train_gated3", "checkpoint.ckpt"),
          "--data", os.path.join(narrow, "test")],
         ["preprocess", "--config", preprocess] + seed_flag,
+        ["train", "--config", train, "--data", nan] + seed_flag,
+        ["eval", "--checkpoint", os.path.join(out, "train_gated3", "checkpoint.ckpt"),
+         "--data", empty],
     )
     return [f"exit {case} {cli.main(argv + ['--out', os.path.join(bad, case, 'out')])}"
             for case, argv in zip(BAD_CASES, runs)]
