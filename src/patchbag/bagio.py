@@ -9,16 +9,17 @@ A dataset directory holds exactly two files:
                 row-major, concatenated in manifest order
 
 A bag's offset is the running byte total of the bags before it.
-`_bag_line` renders a bag line for `write_bags`, and `read_bags` accepts a
-line only if it is the one `_bag_line` renders from its id, patch count,
-labels and running offset; any other manifest, and one of no bags, is a
-ParseError. A blob shorter or longer than the bags' bytes, or holding a NaN
-or Inf, is an IntegrityError. `read_bags` reads features.bin once into one
-array and gives each bag a writeable view of its rows; the round trip is
-bit-exact. `check_bags` is the one rule for a bag set's contents (one
-feature width, a class index of each task per bag); `write_bags`,
-`read_bags` and `train` (over train and val together) apply it, and ids are
-`claim_bag_id`'s.
+`_header_lines` and `_bag_line` render the lines `write_bags` writes, and
+`read_bags` accepts the header only if it is the one `_header_lines` renders
+from its feature_dim, schema and bag count, and a bag line only if it is the
+one `_bag_line` renders from its id, patch count, labels and running offset;
+any other manifest, and one of no bags, is a ParseError. A blob shorter or
+longer than the bags' bytes, or holding a NaN or Inf, is an IntegrityError.
+`read_bags` reads features.bin once into one array and gives each bag a
+writeable view of its rows; the round trip is bit-exact. `check_bags` is
+the one rule for a bag set's contents (one feature width, a class index of
+each task per bag); `write_bags`, `read_bags` and `train` (over train and
+val together) apply it, and ids are `claim_bag_id`'s.
 """
 
 import os
@@ -74,16 +75,16 @@ def _bag_line(schema: TagSchema, bag_id, patches, offset, labels) -> str:
     return f"bag {bag_id} patches={patches} offset={offset} {pairs}"
 
 
+def _header_lines(feature_dim, schema: TagSchema, n_bags) -> list:
+    return [f"{BAGS_MAGIC} {BAGS_VERSION}", f"feature_dim {feature_dim}",
+            *schema.manifest_lines(), f"bags {n_bags}"]
+
+
 def write_bags(dataset, directory, schema: TagSchema) -> None:
     if not dataset:
         raise ConfigError("write_bags: empty dataset")
     check_bags(dataset, schema, ConfigError, "write_bags")
-    lines = [
-        f"{BAGS_MAGIC} {BAGS_VERSION}",
-        f"feature_dim {dataset[0].features.shape[1]}",
-        *schema.manifest_lines(),
-        f"bags {len(dataset)}",
-    ]
+    lines = _header_lines(dataset[0].features.shape[1], schema, len(dataset))
     offset = 0
     seen = set()
     for bag in dataset:
@@ -121,6 +122,9 @@ def read_bags(directory):
     n_bags = count_line(path, next(it, ""), "bags")
     if n_bags < 1:
         raise ParseError(f"{path}: bags {n_bags}: must be >= 1")
+    for got, want in zip(lines, _header_lines(feature_dim, schema, n_bags)):
+        if got != want:
+            raise ParseError(f"{path}: header line {got!r} should read {want!r}")
     bag_lines = list(it)
     if len(bag_lines) != n_bags:
         raise ParseError(

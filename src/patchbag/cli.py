@@ -7,6 +7,7 @@ are a stable scripting contract: 0 success, 2 configuration, 3 I/O,
 """
 
 import argparse
+import itertools
 import json
 import logging
 import math
@@ -314,6 +315,17 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _start_on_next_cpu(counter) -> None:
+    """Pool initializer: start this thread on the next CPU it may use, then
+    allow them all again. Never raises: that would break the pool."""
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {cpus[next(counter) % len(cpus)]})
+        os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):   # no affinity calls, or refused: stay put
+        pass
+
+
 def cmd_preprocess(args) -> int:
     cfg = resolve_config(args)
     section = cfg["preprocess"]
@@ -353,16 +365,19 @@ def cmd_preprocess(args) -> int:
                                      fparams, seed=stream)
         return PatchBag(bag_id=stem, features=feats, labels=labels)
 
-    # one image per CPU; each has its own stream, so bytes do not depend on
-    # the worker count, and map raises the first failure in config order. A
-    # lone worker runs here: a thread gets its own malloc arena, which keeps
-    # tens of MB it has freed and so raises the process's peak.
+    # one image per CPU, each worker started on a CPU of its own: where load
+    # balancing is off (a cpuset's `sched_load_balance` 0), a thread stays on
+    # the CPU it started on. Each image has its own stream, so bytes do not
+    # depend on the worker count, and map raises the first failure in config
+    # order. A lone worker runs here: a thread gets its own malloc arena,
+    # which keeps tens of MB it has freed and so raises the process's peak.
     streams = np.random.SeedSequence(cfg["seed"]).spawn(len(jobs))
     workers = min(len(jobs), _cpu_count())
     if workers == 1:
         bags = list(map(bag, jobs, streams))
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=workers, initializer=_start_on_next_cpu,
+                                initargs=(itertools.count(),)) as pool:
             bags = list(pool.map(bag, jobs, streams))
     write_bags(bags, out, schema)
     print(f"preprocess: {len(bags)} image(s) x {count} patches -> {out}")

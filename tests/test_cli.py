@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -365,6 +366,10 @@ class TestPreprocessCommand:
                                        for p, lab in zip(paths, labels)]
         return write_config(tmp_path, cfg, name="prep.json")
 
+    def run_images(self, tmp_path, paths, out):
+        return cli.main(["preprocess", "--config", self.images_config(tmp_path, paths),
+                         "--seed", "6", "--out", str(tmp_path / out)])
+
     @pytest.mark.parametrize("cpus", [1, 3])
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_bags_equal_per_image_features_in_config_order(self, tmp_path, monkeypatch,
@@ -374,8 +379,7 @@ class TestPreprocessCommand:
         monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
         paths = self.mixed_slides(tmp_path, n)
         out = tmp_path / "bags"
-        assert cli.main(["preprocess", "--config", self.images_config(tmp_path, paths),
-                         "--seed", "6", "--out", str(out)]) == 0
+        assert self.run_images(tmp_path, paths, "bags") == 0
         fparams = FeaturizerParams.initialize(hidden_dim=8, out_dim=6, seed=6)
         streams = np.random.SeedSequence(6).spawn(n)
         want = b"".join(
@@ -383,6 +387,59 @@ class TestPreprocessCommand:
             for p, s in zip(paths, streams))
         assert (out / "features.bin").read_bytes() == want
         assert [b.bag_id for b in read_bags(out)[0]] == [p.stem for p in paths]
+
+    @staticmethod
+    def affinity_probe(monkeypatch, workers, cpus):
+        """`_cpu_count` gives `workers`, and `os.sched_getaffinity` gives
+        `cpus` once all `workers` threads have asked, so the pool starts every
+        worker before any image ends. Returns the asking threads' ids."""
+        asked, barrier = [], threading.Barrier(workers)
+
+        def getaffinity(pid):
+            asked.append(threading.get_ident())
+            barrier.wait(timeout=30)
+            return set(cpus)
+
+        monkeypatch.setattr(cli, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(os, "sched_getaffinity", getaffinity)
+        return asked
+
+    @pytest.mark.parametrize("workers,cpus", [(2, (0, 1)), (3, (3, 5)), (2, (7,))])
+    def test_each_worker_starts_on_the_next_cpu_then_allows_all(self, tmp_path,
+                                                                monkeypatch, workers, cpus):
+        # worker i asks for cpus[i % k] alone, then for the whole set again
+        calls = {}
+        self.affinity_probe(monkeypatch, workers, cpus)
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: calls.setdefault(
+            threading.get_ident(), []).append((pid, tuple(sorted(mask)))))
+        assert self.run_images(tmp_path, self.mixed_slides(tmp_path, workers), "bags") == 0
+        assert threading.get_ident() not in calls
+        assert sorted(calls.values()) == sorted(
+            [(0, (cpus[i % len(cpus)],)), (0, cpus)] for i in range(workers))
+
+    @pytest.mark.parametrize("broken", ["raises", "missing"])
+    def test_workers_that_cannot_be_placed_give_the_inline_bytes(self, tmp_path,
+                                                                 monkeypatch, broken):
+        paths = self.mixed_slides(tmp_path, 3)
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+        assert self.run_images(tmp_path, paths, "inline") == 0
+        asked = self.affinity_probe(monkeypatch, 3, (0, 1))
+        if broken == "raises":
+            def setaffinity(pid, mask):
+                raise OSError(22, "Invalid argument")
+            monkeypatch.setattr(os, "sched_setaffinity", setaffinity)
+        else:
+            monkeypatch.delattr(os, "sched_setaffinity")
+        assert self.run_images(tmp_path, paths, "pooled") == 0
+        assert len(set(asked) - {threading.get_ident()}) == 3
+        assert ((tmp_path / "pooled" / "features.bin").read_bytes()
+                == (tmp_path / "inline" / "features.bin").read_bytes())
+
+    @pytest.mark.parametrize("count,want", [(5, 5), (None, 1)])
+    def test_cpu_count_without_affinity_calls(self, monkeypatch, count, want):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert cli._cpu_count() == want
 
     @pytest.mark.parametrize("order,text", [
         (("white.ppm", "bad.ppm"), "only 0 valid foreground"),
@@ -593,6 +650,15 @@ BAD_INPUTS = [
         edit=("checkpoint", b"heads 1\n", b"heads 100\n")),
     bad("manifest-feature-dim-zero", "train", "feature_dim 0", code=4,
         edit=("manifest", b"feature_dim 8\n", b"feature_dim 0\n")),
+    bad("manifest-feature-dim-leading-zero", "train",
+        "header line 'feature_dim 08' should read 'feature_dim 8'", code=4,
+        edit=("manifest", b"feature_dim 8\n", b"feature_dim 08\n")),
+    bad("manifest-tasks-leading-zero", "train",
+        "header line 'tasks 02' should read 'tasks 2'", code=4,
+        edit=("manifest", b"tasks 2\n", b"tasks 02\n")),
+    bad("manifest-bags-leading-zero", "train",
+        "header line 'bags 040' should read 'bags 40'", code=4,
+        edit=("manifest", b"\nbags 40\n", b"\nbags 040\n")),
     bad("slide-header-width", "preprocess", "width", code=4,
         edit=("slide", b"\n420 420\n", b"\n4x 4\n")),
     # a header one row short leaves that row's 420 x 3 bytes after the pixels

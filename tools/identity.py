@@ -17,11 +17,12 @@ and each patch is its whole window. It prints the
 OpenBLAS core name, then one `path sha256` line per output file, sorted by
 path. Trained bytes depend on the BLAS kernel, so two lists compare only
 when their core names match: run it on two checkouts on one machine and
-diff the outputs. Last come one `exit CASE CODE` line for each of the six
+diff the outputs. Last come one `exit CASE CODE` line for each of the seven
 bad inputs in BAD_CASES (a manifest label out of range, train and val of
 two widths, eval data of another width, an unknown preprocess class, a NaN
-in features.bin and a manifest of no bags), the exit code of a command run
-on it; their outputs are not digested.
+in features.bin, a manifest of no bags and a manifest feature_dim with a
+leading zero), the exit code of a command run on it; their outputs are not
+digested.
 """
 
 import argparse
@@ -116,7 +117,8 @@ def produce(work, seed):
 
 
 BAD_CASES = ("label-out-of-range", "train-val-widths", "eval-width",
-             "preprocess-unknown-class", "non-finite-blob", "empty-manifest")
+             "preprocess-unknown-class", "non-finite-blob", "empty-manifest",
+             "header-leading-zero")
 
 
 def bad_exits(work, out, seed):
@@ -140,6 +142,11 @@ def bad_exits(work, out, seed):
     with open(os.path.join(empty, "manifest"), "w", encoding="utf-8") as fh:
         fh.write(text[:text.index("\nbags ")] + "\nbags 0\nend\n")
     open(os.path.join(empty, "features.bin"), "wb").close()
+    zero = shutil.copytree(os.path.join(out, "synth_whole"), os.path.join(bad, "zero"))
+    with open(os.path.join(zero, "manifest"), encoding="utf-8") as fh:
+        header = fh.read().replace("\nfeature_dim 64\n", "\nfeature_dim 064\n", 1)
+    with open(os.path.join(zero, "manifest"), "w", encoding="utf-8") as fh:
+        fh.write(header)
     narrow_config = os.path.join(work, "synth_narrow.json")
     write_json(narrow_config, {"synth": {"n_bags": 40, "feature_dim": 16,
                                          "patches_per_bag": 32,
@@ -163,6 +170,8 @@ def bad_exits(work, out, seed):
         ["train", "--config", train, "--data", nan] + seed_flag,
         ["eval", "--checkpoint", os.path.join(out, "train_gated3", "checkpoint.ckpt"),
          "--data", empty],
+        ["eval", "--checkpoint", os.path.join(out, "train_gated3", "checkpoint.ckpt"),
+         "--data", zero],
     )
     return [f"exit {case} {cli.main(argv + ['--out', os.path.join(bad, case, 'out')])}"
             for case, argv in zip(BAD_CASES, runs)]
