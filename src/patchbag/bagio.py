@@ -23,6 +23,7 @@ val together) apply it, and ids are `claim_bag_id`'s.
 """
 
 import os
+import re
 
 import numpy as np
 
@@ -37,6 +38,8 @@ MANIFEST_NAME = "manifest"
 
 
 _ID_RULE = "must be non-empty and hold only letters, digits, '-', '_' and '.'"
+# \w is every character str.isalnum() accepts, and '_'
+_ID_PATTERN = re.compile(r"[\w.-]+")
 
 
 def claim_bag_id(bag_id, seen, error, where) -> None:
@@ -44,8 +47,7 @@ def claim_bag_id(bag_id, seen, error, where) -> None:
     breaks the id rule or is in `seen` already. Manifests store ids as
     whitespace-split tokens, and export-attention writes one file per id,
     named after it unchanged."""
-    if not (isinstance(bag_id, str) and bag_id != ""
-            and all(c.isalnum() or c in "-_." for c in bag_id)):
+    if not (isinstance(bag_id, str) and _ID_PATTERN.fullmatch(bag_id)):
         raise error(f"{where}: bag id {bag_id!r} {_ID_RULE}")
     if bag_id in seen:
         raise error(f"{where}: duplicate bag id {bag_id!r}")
@@ -56,8 +58,8 @@ def check_bags(bags, schema: TagSchema, error, where) -> None:
     """Raise `error` naming `where` unless every bag has the first bag's
     feature width and one label per task, each a class index of that task."""
     counts = schema.class_counts
+    width = bags[0].features.shape[1]
     for bag in bags:
-        width = bags[0].features.shape[1]
         if bag.features.shape[1] != width:
             raise error(f"{where}: bag {bag.bag_id!r} has feature width "
                         f"{bag.features.shape[1]}, the first bag {width}")
@@ -70,8 +72,8 @@ def check_bags(bags, schema: TagSchema, error, where) -> None:
                             f"a class of task {schema.task_names[k]!r}")
 
 
-def _bag_line(schema: TagSchema, bag_id, patches, offset, labels) -> str:
-    pairs = " ".join(f"{name}={label}" for name, label in zip(schema.task_names, labels))
+def _bag_line(task_names, bag_id, patches, offset, labels) -> str:
+    pairs = " ".join(map("{}={}".format, task_names, labels))
     return f"bag {bag_id} patches={patches} offset={offset} {pairs}"
 
 
@@ -85,11 +87,12 @@ def write_bags(dataset, directory, schema: TagSchema) -> None:
         raise ConfigError("write_bags: empty dataset")
     check_bags(dataset, schema, ConfigError, "write_bags")
     lines = _header_lines(dataset[0].features.shape[1], schema, len(dataset))
+    names = schema.task_names
     offset = 0
     seen = set()
     for bag in dataset:
         claim_bag_id(bag.bag_id, seen, ConfigError, "write_bags")
-        lines.append(_bag_line(schema, bag.bag_id, bag.n_patches, offset, bag.labels))
+        lines.append(_bag_line(names, bag.bag_id, bag.n_patches, offset, bag.labels))
         offset += bag.features.nbytes
     lines.append("end")
 
@@ -134,23 +137,27 @@ def read_bags(directory):
     blob_path = os.path.join(directory, BLOB_NAME)
     size = os.path.getsize(blob_path)
     blob = np.fromfile(blob_path, dtype="<f8")      # a partial last float is dropped
+    names = schema.task_names
     ids = set()
     bags = []
     offset = 0
     for line in bag_lines:
         toks = line.split(" ")
-        if len(toks) != 4 + len(schema.task_names) or toks[0] != "bag":
+        if len(toks) != 4 + len(names) or toks[0] != "bag":
+            head, _, tail = line.partition(" patches=")     # an id holding a space?
+            if head.startswith("bag ") and tail.count(" ") == 1 + len(names):
+                claim_bag_id(head[4:], set(), ParseError, path)
             raise ParseError(
                 f"{path}: bad bag line {line!r}: expected 'bag ID patches=M "
                 f"offset=O' then one task=label for each of "
-                f"{', '.join(schema.task_names)}, in order, none missing or repeated"
+                f"{', '.join(names)}, in order, none missing or repeated"
             )
         bag_id = toks[1]
         claim_bag_id(bag_id, ids, ParseError, path)
         # patches and labels are read; the offset is the bags' running total
-        n_patches, *labels = (header_int(path, tok.partition("=")[2], f"bag {bag_id} {tok}")
-                              for tok in toks[2:3] + toks[4:])
-        want = _bag_line(schema, bag_id, n_patches, offset, labels)
+        n_patches, *labels = [header_int(path, tok.partition("=")[2], line)
+                              for tok in toks[2:3] + toks[4:]]
+        want = _bag_line(names, bag_id, n_patches, offset, labels)
         if line != want:
             got, field = next((g, w) for g, w in zip(toks, want.split(" ")) if g != w)
             raise ParseError(f"{path}: bag {bag_id!r}: {got!r} should read {field!r}")
@@ -165,7 +172,7 @@ def read_bags(directory):
             )
         feats = blob[start // 8:offset // 8].reshape(n_patches, feature_dim)
         try:
-            bags.append(PatchBag(bag_id=bag_id, features=feats, labels=tuple(labels)))
+            bags.append(PatchBag(bag_id=bag_id, features=feats, labels=labels))
         except ConfigError as e:        # the shape is sound: a NaN or Inf
             raise IntegrityError(f"{blob_path}: {e}") from None
     check_bags(bags, schema, ParseError, path)

@@ -326,7 +326,8 @@ def _gate(name, V, gate_proj, gate_score):
     """
     if V.shape[-2] == 0:
         raise EmptyBagError(f"{name}: bag has no patches")
-    hidden = np.tanh(V @ gate_proj)
+    hidden = V @ gate_proj
+    np.tanh(hidden, out=hidden)
     a = softmax(hidden @ gate_score, axis=-2)
 
     def backward(g, g_V, g_proj, g_score, before=()):
@@ -345,43 +346,60 @@ def head_attention(V, gate_proj, gate_score):
     return _gate("head_attention", V, gate_proj, gate_score)
 
 
-def _residual_projection(V, outs, proj, head_grads):
-    """relu(V + concat(outs) @ proj), the (..., H, M, d) head outputs side by
-    side; V, the bag, takes no gradient.
+def _by_head(side, n_heads):
+    """The (..., H, M, d) view of a C-contiguous (..., M, H*d) side-by-side array."""
+    return side.reshape(*side.shape[:-1], n_heads, -1).swapaxes(-3, -2)
+
+
+def _relu(x):
+    """ReLU in place: the bytes of np.where(x > 0.0, x, 0.0), but NaN stays NaN."""
+    np.maximum(x, 0.0, out=x)
+    return np.add(x, 0.0, out=x)             # -0.0 + 0.0 is +0.0
+
+
+def _residual_projection(V, side, proj, head_grads):
+    """relu(V + side @ proj), computed in the matmul's own output; side holds
+    the (..., M, H*d) head outputs side by side, and V, the bag, takes no
+    gradient. A NaN or Inf before the ReLU raises NumericError.
 
     backward(g) adds the gradient at proj into its grad view and hands
-    head_grads the gradient at outs.
+    head_grads the (..., M, H*d) gradient at side.
     """
-    side_by_side = outs.swapaxes(-3, -2).reshape(*V.shape[:-1], -1)
-    pre = V + side_by_side @ proj.data
-    mask = pre > 0.0
+    out = side @ proj.data
+    out += V
+    if not np.isfinite(out).all():
+        raise NumericError("transform: projection output contains NaN or Inf")
 
     def backward(g):
-        g_pre = g * mask
-        g_side = g_pre @ proj.data.T
-        _add(proj.grad, _T(side_by_side) @ g_pre)
-        head_grads(g_side.reshape(*g.shape[:-1], outs.shape[-3], -1).swapaxes(-3, -2))
+        g_pre = g * (out > 0.0)             # out is V' now, > 0 where its input was
+        _add(proj.grad, _T(side) @ g_pre)
+        head_grads(g_pre @ proj.data.T)
 
-    return np.where(mask, pre, 0.0), backward
+    return _relu(out), backward
 
 
 def patch_transform(V, params: ModelParams):
-    """Gated multi-head transform: concat scaled copies, project, residual, ReLU.
+    """Gated multi-head transform: scaled copies, projected, residual, ReLU.
 
-    Returns V', the (..., H, M, 1) head weights and the backward, which adds
-    the gradients at the heads and the projection into params.grad.
+    Each head writes its copy of V, row i scaled by its weight a_h[i], once,
+    into its D columns of one (..., M, H*D) array. Returns V', the (..., H,
+    M, 1) head weights and the backward, which adds the gradients at the
+    heads and the projection into params.grad.
     """
     if not params.heads:
         raise ContractError("transform: the model has 0 heads; it needs 1 or more")
     gate_proj, gate_score = params.heads["gate_proj"], params.heads["gate_score"]
     V_h = V[..., None, :, :]                      # every head sees the bag
     weights, gate_backward = head_attention(V_h, gate_proj.data, gate_score.data)
+    side = np.empty((*V.shape[:-1], len(params.proj.data)))     # H*D columns
+    np.multiply(V_h, weights, out=_by_head(side, params.dims.n_heads))
 
-    def head_grads(g_outs):
-        gate_backward(np.add.reduce(g_outs * V_h, axis=-1, keepdims=True), None,
-                      gate_proj.grad, gate_score.grad)
+    def head_grads(g_side):
+        g_outs = _by_head(g_side, params.dims.n_heads)
+        g_weights = np.add.reduce(g_outs * V_h, axis=-1, keepdims=True)
+        gate_backward(g_weights, None, gate_proj.grad, gate_score.grad)
 
-    Vp, backward = _residual_projection(V, V_h * weights, params.proj, head_grads)
+    Vp, backward = _residual_projection(V, side, params.proj, head_grads)
     return Vp, weights, backward
 
 
@@ -391,8 +409,6 @@ def sdpa_transform(V, params: ModelParams):
     Returns V', the (..., H, M, M) row-stochastic attention of the heads and
     a backward like patch_transform's.
     """
-    if V.shape[-2] == 0:
-        raise EmptyBagError("sdpa_transform: bag has no patches")
     if not params.heads:
         raise ContractError("transform: the model has 0 heads; it needs 1 or more")
     query, key, value = (params.heads[name] for name in ("query", "key", "value"))
@@ -402,13 +418,15 @@ def sdpa_transform(V, params: ModelParams):
     scale = 1.0 / math.sqrt(q.shape[-1])        # every head is d_head wide
     attn = softmax((q @ kT) * scale, axis=-1)
 
-    def head_grads(g_outs):
+    def head_grads(g_side):
+        g_outs = _by_head(g_side, params.dims.n_heads)
         g_scores = softmax_grad(attn, g_outs @ _T(v), axis=-1) * scale
         _add(value.grad, _T(V_h) @ (_T(attn) @ g_outs))
         _add(query.grad, _T(V_h) @ (g_scores @ _T(kT)))
         _add(key.grad, _T(V_h) @ _T(_T(q) @ g_scores))
 
-    Vp, backward = _residual_projection(V, attn @ v, params.proj, head_grads)
+    side = (attn @ v).swapaxes(-3, -2).reshape(*V.shape[:-1], -1)
+    Vp, backward = _residual_projection(V, side, params.proj, head_grads)
     return Vp, attn, backward
 
 

@@ -32,9 +32,9 @@ class PatchBag:
                 f"bag {self.bag_id!r}: features must be (M >= 1, D >= 1), "
                 f"got {self.features.shape}"
             )
-        if not np.all(np.isfinite(self.features)):
+        if not np.isfinite(self.features).all():
             raise ConfigError(f"bag {self.bag_id!r}: features contain NaN/Inf")
-        self.labels = tuple(int(v) for v in self.labels)
+        self.labels = tuple(map(int, self.labels))
 
     @property
     def n_patches(self) -> int:

@@ -83,6 +83,19 @@ class TestSynthCommand:
                  for n in ("train", "val", "test")]
         assert sizes == [36, 4, 10]
 
+    def test_correlation_rule_at_probability_one_holds_in_written_labels(self, tmp_path):
+        red, box = 0, 2
+        for rules in ([], [["color", "red", "shape", "box", 1]]):
+            payload = {"synth": {**SMALL_SYNTH["synth"], "n_bags": 200,
+                                 "correlations": rules}}
+            cfg = write_config(tmp_path, payload)
+            out = tmp_path / f"d{len(rules)}"
+            assert cli.main(["synth", "--config", cfg, "--out", str(out)]) == 0
+            reds = [bag.labels[1] for bag in read_bags(out)[0] if bag.labels[0] == red]
+            assert len(reds) > 50
+            # without the rule a red bag takes any shape; with it, only box
+            assert (set(reds) == {box}) == bool(rules)
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"surprise": 1})
         assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
@@ -578,6 +591,8 @@ BAD_INPUTS = [
     bad("n-bags-string", "synth", "synth.n_bags", {"synth": {"n_bags": "x"}}),
     bad("correlations-number", "synth", "synth.correlations",
         {"synth": {"correlations": 5}}),
+    bad("correlation-rule-short", "synth", "synth.correlations[0]",
+        {"synth": {"correlations": [["color", "red", "shape", "box"]]}}),
     bad("class-weights-list", "synth", "synth.class_weights",
         {"synth": {"class_weights": [1]}}),
     bad("patch-size-string", "preprocess", "preprocess.patch_size",

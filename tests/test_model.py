@@ -231,6 +231,36 @@ class TestPatchTransform:
         out, _, _ = patch_transform(V, params)
         np.testing.assert_array_equal(out, np.maximum(V, 0.0))
 
+    @pytest.mark.parametrize("variant,heads", [("gated", 3), ("gated", 1), ("sdpa", 2)])
+    @pytest.mark.parametrize("shape", [(5, 6), (4, 5, 6)])
+    def test_equals_concatenated_heads_projected_bit_for_bit(self, variant, heads,
+                                                             shape):
+        params = small_params(variant=variant, heads=heads)
+        V = np.random.default_rng(7).normal(size=shape)
+        if variant == "gated":
+            out, weights, _ = patch_transform(V, params)
+            outs = [V * weights[..., h, :, :] for h in range(heads)]
+        else:
+            out, attn, _ = sdpa_transform(V, params)
+            outs = [attn[..., h, :, :] @ (V @ params.heads["value"].data[h])
+                    for h in range(heads)]
+        pre = V + np.concatenate(outs, axis=-1) @ params.proj.data
+        assert out.tobytes() == np.where(pre > 0.0, pre, 0.0).tobytes()
+
+    def test_relu_step_gives_the_bytes_of_where_and_no_negative_zero(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        normal = np.finfo(np.float64).tiny
+        values = [0.0, -0.0, tiny, -tiny, 3e-310, -3e-310, normal, -normal,
+                  np.inf, -np.inf, 1.5, -1.5, 1e300, -1e300]
+        # shuffled and of odd length, so vector loops meet every value in
+        # every lane and in their scalar tails
+        x = np.random.default_rng(9).permutation(np.tile(values, 37))
+        want = np.where(x > 0.0, x, 0.0)
+        got = x.copy()
+        assert model._relu(got) is got
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got[got == 0.0]).any()
+
     def test_paper_scale_shapes(self):
         # 32 patches of 2048 features in, same shape out
         dims = ModelDims(feature_dim=2048, attn_hidden=8, tag_hidden=8, n_heads=1)
@@ -448,7 +478,8 @@ class TestFiniteness:
     @staticmethod
     def planted_matrices(heads, variant):
         head = {"gated": f"head{heads - 1}.gate_score", "sdpa": f"head{heads - 1}.query"}
-        return ([head[variant]] if heads else []) + ["tag1.gate_score", "tag0.classify"]
+        return ([head[variant], "proj"] if heads else []) + ["tag1.gate_score",
+                                                             "tag0.classify"]
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("variant,heads", ARMS)
@@ -463,6 +494,20 @@ class TestFiniteness:
                 forward(bag, planted)
             with pytest.raises(NumericError):
                 forward([bag, bag], planted)
+
+    @pytest.mark.parametrize("variant,heads", [("gated", 3), ("gated", 1), ("sdpa", 4)])
+    def test_projection_that_sends_a_column_to_minus_inf_raises(self, variant, heads):
+        # positive features (and value weights) make every head output
+        # positive, so proj[0, 0] = -inf sends the whole first column to
+        # -inf, which a ReLU alone turns into finite zeros
+        params = small_params(variant=variant, heads=heads, feature_dim=8)
+        if variant == "sdpa":
+            np.abs(params.heads["value"].data, out=params.heads["value"].data)
+        bag = random_bag(np.random.default_rng(32), 5, 8)
+        np.abs(bag.features, out=bag.features)
+        params.proj.data[0, 0] = -np.inf
+        with pytest.raises(NumericError):
+            forward(bag, params)
 
     @pytest.mark.parametrize("variant,heads", ARMS)
     @pytest.mark.parametrize("where", ["features", "classifier"])

@@ -1,7 +1,11 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
-from patchbag.bagio import read_bags, write_bags
+from patchbag import bagio
+from patchbag.bagio import claim_bag_id, read_bags, write_bags
 from patchbag.errors import (
     ConfigError,
     IntegrityError,
@@ -268,6 +272,43 @@ class TestBagDirectory:
             write_bags(bags, tmp_path / "d", TWO_TASKS)
         assert repr(ids[0]) in str(err.value)
         assert not (tmp_path / "d").exists()
+
+    # the ids given to the manifest's first two bags, and whether the id rule
+    # accepts them: letters and digits of any script, '-', '_' and '.'
+    ID_TABLE = [("slide_01", "b1", True), ("A.b-c_9", "b1", True), ("é", "b1", True),
+                ("٣", "b1", True), ("Ⅻ", "b1", True), ("_", "b1", True),
+                ("-", "b1", True), (".", "b1", True), ("a b", "b1", False),
+                ("a/b", "b1", False), ("", "b1", False), ("dup", "dup", False)]
+
+    @pytest.mark.parametrize("first,second,valid", ID_TABLE,
+                             ids=[repr(row[:2]) for row in ID_TABLE])
+    def test_read_accepts_exactly_the_ids_claim_bag_id_accepts(self, tmp_path, first,
+                                                               second, valid):
+        directory = str(tmp_path / "d")
+        bags = generate(small_config(n_bags=3))
+        write_bags(bags, directory, TWO_TASKS)
+        manifest = tmp_path / "d" / "manifest"
+        text = manifest.read_text(encoding="utf-8")
+        for bag, bag_id in zip(bags, (first, second)):
+            text = text.replace(f"\nbag {bag.bag_id} ", f"\nbag {bag_id} ", 1)
+        manifest.write_text(text, encoding="utf-8")
+        try:
+            seen = set()
+            for bag_id in (first, second):
+                claim_bag_id(bag_id, seen, ParseError, os.path.join(directory, "manifest"))
+        except ParseError as e:
+            assert not valid
+            with pytest.raises(ParseError) as err:
+                read_bags(directory)
+            assert str(err.value) == str(e)
+        else:
+            assert valid
+            assert [b.bag_id for b in read_bags(directory)[0][:2]] == [first, second]
+
+    def test_id_pattern_accepts_the_characters_of_the_rule_at_every_code_point(self):
+        wrong = [c for c in map(chr, range(sys.maxunicode + 1))
+                 if (bagio._ID_PATTERN.fullmatch(c) is None) == (c.isalnum() or c in "-_.")]
+        assert wrong == []
 
     def test_empty_bag_rejected_at_construction(self):
         with pytest.raises(ConfigError):

@@ -273,6 +273,24 @@ class TestAdam:
         assert params.flat is flat and adam.m is m0 and adam.v is v0
         assert all(np.shares_memory(t.data, flat) for _, t in params.named_parameters())
 
+    # 1 - 0.9**t reaches 1.0 at t = 356, and 1 - 0.999**t at t = 37,412
+    @pytest.mark.parametrize("t", [1, 100, 355, 356, 357, 37411, 37412, 37413])
+    def test_steps_where_bias_corrections_reach_one_match_the_textbook(self, t):
+        rng = np.random.default_rng(t)
+        params = OneWeight(0.0)
+        params.flat, params.grad = rng.standard_normal(50), rng.standard_normal(50)
+        params.has_grad = True
+        adam = Adam(params, lr=0.01)
+        adam.m[...], adam.v[...] = rng.standard_normal(50), rng.random(50)
+        adam.t = t - 1
+        g = params.grad
+        m = 0.9 * adam.m + (1 - 0.9) * g
+        v = 0.999 * adam.v + (1 - 0.999) * g * g
+        want = params.flat - 0.01 * (m / (1 - 0.9 ** t)) / (
+            np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
+        adam.step()
+        assert params.flat.tobytes() == want.tobytes()
+
     def test_missing_gradient_rejected(self):
         params = OneWeight(1.0)
         adam = Adam(params)
