@@ -142,23 +142,21 @@ def read_bags(directory):
     bags = []
     offset = 0
     for line in bag_lines:
-        toks = line.split(" ")
-        if len(toks) != 4 + len(names) or toks[0] != "bag":
-            head, _, tail = line.partition(" patches=")     # an id holding a space?
-            if head.startswith("bag ") and tail.count(" ") == 1 + len(names):
-                claim_bag_id(head[4:], set(), ParseError, path)
+        head, *fields = line.rsplit(" ", 2 + len(names))    # an id's spaces stay in head
+        if not head.startswith("bag ") or " patches=" in head:
             raise ParseError(
                 f"{path}: bad bag line {line!r}: expected 'bag ID patches=M "
                 f"offset=O' then one task=label for each of "
                 f"{', '.join(names)}, in order, none missing or repeated"
             )
-        bag_id = toks[1]
+        bag_id = head[4:]
         claim_bag_id(bag_id, ids, ParseError, path)
         # patches and labels are read; the offset is the bags' running total
         n_patches, *labels = [header_int(path, tok.partition("=")[2], line)
-                              for tok in toks[2:3] + toks[4:]]
+                              for tok in fields[:1] + fields[2:]]
         want = _bag_line(names, bag_id, n_patches, offset, labels)
         if line != want:
+            toks = ["bag", bag_id, *fields]
             got, field = next((g, w) for g, w in zip(toks, want.split(" ")) if g != w)
             raise ParseError(f"{path}: bag {bag_id!r}: {got!r} should read {field!r}")
         if n_patches < 1:

@@ -409,6 +409,8 @@ def sdpa_transform(V, params: ModelParams):
     Returns V', the (..., H, M, M) row-stochastic attention of the heads and
     a backward like patch_transform's.
     """
+    if V.shape[-2] == 0:
+        raise EmptyBagError("sdpa_transform: bag has no patches")
     if not params.heads:
         raise ContractError("transform: the model has 0 heads; it needs 1 or more")
     query, key, value = (params.heads[name] for name in ("query", "key", "value"))

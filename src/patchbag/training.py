@@ -175,10 +175,10 @@ class Adam:
         self.m += np.multiply(g, 1 - self.beta1, out=num)
         self.v *= self.beta2
         self.v += np.multiply(np.multiply(g, 1 - self.beta2, out=num), g, out=num)
-        # m_hat * lr and sqrt(v_hat), a bias correction c of 1.0 skipped (x / 1.0 is x)
-        c1, c2 = 1 - self.beta1 ** self.t, 1 - self.beta2 ** self.t
-        np.multiply(self.m if c1 == 1.0 else np.divide(self.m, c1, out=num), self.lr, out=num)
-        np.sqrt(self.v if c2 == 1.0 else np.divide(self.v, c2, out=den), out=den)
+        np.divide(self.m, 1 - self.beta1 ** self.t, out=num)   # m_hat
+        num *= self.lr
+        np.divide(self.v, 1 - self.beta2 ** self.t, out=den)   # v_hat
+        np.sqrt(den, out=den)
         den += self.epsilon
         self.params.flat -= np.divide(num, den, out=num)
 
